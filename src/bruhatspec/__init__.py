@@ -4,7 +4,7 @@ combinatorial prime-spectrum pipelines matched against Bruhat intervals."""
 from .coxeter import (CoxeterMatrix, GroupElement, CoxeterError,
                       builtin_matrix, matrix_by_name, element_from_word,
                       identity_element, generator_element, multiply,
-                      right_descent, left_descent, canonical_word, is_reduced,
+                      right_descent, left_descent, is_reduced,
                       elements_up_to_length, INF)
 from .bruhat import (BruhatError, BruhatInterval, BruhatPartition,
                      bruhat_leq, interval, partition, phi, is_decomposable,

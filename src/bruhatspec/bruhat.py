@@ -2,6 +2,8 @@
 subword enumeration, the W1-W4 partition of [1, wbar*a], the projection Phi,
 decomposability, and an exhaustive lifting-property checker."""
 
+from itertools import combinations
+
 from . import coxeter as cx
 from . import poset as ps
 
@@ -44,22 +46,15 @@ def bruhat_leq(u, v):
 class BruhatInterval:
     """The interval [1, base], elements keyed by canonical word."""
 
-    __slots__ = ("cox", "base", "elements", "by_word")
+    __slots__ = ("cox", "base", "elements")
 
     def __init__(self, cox, base, elements):
         self.cox = cox
         self.base = base
         self.elements = elements
-        self.by_word = {w.word: w for w in elements}
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, w):
-        return w.word in self.by_word
-
-    def leq(self, u, v):
-        return bruhat_leq(u, v)
 
     def rank_profile(self):
         top = max(w.length for w in self.elements)
@@ -192,57 +187,35 @@ def phi(iva, a):
     return out
 
 
-def is_decomposable(m, word, budget=8):
+def is_decomposable(m, word):
     """A length-additive factorization w = u*v with only the identity below
     both factors, or None.
 
-    Splittings of every reduced expression of w are tried (all of them when
-    l(w) <= budget, else just the canonical word's braid-move closure up to
-    the budget... in practice all shipped calls are short).
+    [1,u] and [1,v] meet only in the identity iff u and v have disjoint
+    supports (the atoms of [1,u] are the generators in supp(u)).  So w
+    decomposes iff for some nonempty proper K of supp(w), with J the rest,
+    the parabolic factorization w = w^J * w_J (Bjorner-Brenti 2.4.4) has
+    both factors nontrivial and supp(w^J) inside K.  Candidate supports K
+    of u are tried in combinations order; the factors come back as
+    canonical words.
     """
     word = m.check_word(word)
     if not cx.is_reduced(m, word):
         raise BruhatError("input word is not reduced")
     w = cx.element_from_word(m, word)
-    if w.length < 2:
-        return None
-    for expr in _reduced_words(m, w, budget):
-        for cut in range(1, len(expr)):
-            uw, vw = expr[:cut], expr[cut:]
-            u = cx.element_from_word(m, uw)
-            v = cx.element_from_word(m, vw)
-            shared = set(interval(m, u.word).elements) & \
-                set(interval(m, v.word).elements)
-            if len(shared) == 1:
-                return (u.word, v.word)
+    supp = sorted(set(w.word))
+    for k in range(1, len(supp)):
+        for K in combinations(supp, k):
+            J = [j for j in supp if j not in K]
+            u, v = w, ()        # strip right descents in J: w = u * v
+            while True:
+                s = next((j for j in J if cx.right_descent(u, j)), None)
+                if s is None:
+                    break
+                u, v = u.times_gen(s), (s,) + v
+            if v and set(u.word).isdisjoint(J):
+                return (u.word, cx.element_from_word(m, v).word)
     return None
-
-
-def _reduced_words(m, w, budget):
-    """All reduced expressions of w, by braid-move closure of the canonical
-    word (complete; budget caps the length we attempt this for)."""
-    if w.length > budget:
-        yield w.word
-        return
-    seen = {w.word}
-    stack = [w.word]
-    while stack:
-        cur = stack.pop()
-        yield cur
-        for i in range(len(cur) - 1):
-            s, t = cur[i], cur[i + 1]
-            if s == t:
-                continue
-            k = m.m(s, t)
-            if k == cx.INF or i + k > len(cur):
-                continue
-            seg = cur[i:i + k]
-            if all(seg[j] == (s if j % 2 == 0 else t) for j in range(k)):
-                swapped = tuple(t if j % 2 == 0 else s for j in range(k))
-                new = cur[:i] + swapped + cur[i + k:]
-                if new not in seen:
-                    seen.add(new)
-                    stack.append(new)
 
 
 def check_lifting(m, bound):

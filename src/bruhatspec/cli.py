@@ -77,15 +77,15 @@ def cmd_pushout_check(args):
 
 
 def cmd_pipeline(args):
-    if args.builtin:
-        spec = sp.builtin(args.builtin)
-    else:
-        try:
+    try:
+        if args.builtin:
+            spec = sp.builtin(args.builtin)
+        else:
             with open(args.file) as f:
                 spec = sp.load_pipeline(json.load(f))
-        except (OSError, KeyError, TypeError, ValueError) as e:
-            raise UsageError("cannot read pipeline file %r: %s"
-                             % (args.file, e))
+    except (OSError, KeyError, TypeError, ValueError) as e:
+        raise UsageError("cannot load pipeline %r: %s"
+                         % (args.builtin or args.file, e))
     res = sp.run_pipeline(spec)
     for rep in res.steps:
         sz = rep["sizes"]

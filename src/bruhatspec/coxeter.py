@@ -259,10 +259,6 @@ def left_descent(w, i):
     return all(w.matrix_inv[r][col] <= 0 for r in range(w.cox.n))
 
 
-def canonical_word(w):
-    return w.word
-
-
 def is_reduced(cox, word):
     word = cox.check_word(word)
     return element_from_word(cox, word).length == len(word)

@@ -78,7 +78,6 @@ class SetupData:
     phi: dict               # PhiTilde at label level, Ptilde -> P
     iota: dict              # previous label -> old-copy label
     source: SpectrumPartition = None
-    projection: bool = True
 
 
 def validate_setup(s):
@@ -111,10 +110,9 @@ def validate_setup(s):
         for q in px:
             if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
                 return fail("mixed comparison clause fails at (%s,%s)" % (p, q))
-    if s.projection:
-        for p in sorted(labels):
-            if s.phi[s.phi[p]] != s.phi[p]:
-                return fail("PhiTilde not idempotent at %s" % (p,))
+    for p in sorted(labels):
+        if s.phi[s.phi[p]] != s.phi[p]:
+            return fail("PhiTilde not idempotent at %s" % (p,))
     return {"ok": True, "failed": None}
 
 
@@ -124,7 +122,7 @@ def ore_step(sp, new_label, relabel=None):
     Ptilde = (copy of P, labels passed through `relabel`) together with a new
     prime for each P3 element (label from `new_label`).  Cross relations:
     old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3 and
-    partner() on P1; no new <= old relations.  Returns (SetupData, iota map).
+    partner() on P1; no new <= old relations.  Returns the SetupData.
     """
     sp.validate()
     relabel = relabel or {}
@@ -156,8 +154,7 @@ def ore_step(sp, new_label, relabel=None):
     rep = validate_setup(setup)
     if not rep["ok"]:
         raise ExtensionError("ore_step produced invalid setup: %s" % rep["failed"])
-    iota_map = ps.PosetMap(sp.P, ps.induced(Ptilde, setup.P), old)
-    return setup, iota_map
+    return setup
 
 
 def extend_iso(nabla, part, s):

@@ -121,13 +121,35 @@ class PipelineResult:
     name: str
     word: tuple
     final_poset: ps.LabeledPoset
-    final_interval: "br.BruhatInterval"
     nabla: ps.PosetMap
     gens: dict
     steps: list
 
-    def rank_profile(self):
-        return self.final_poset.rank_profile()
+
+def _check_step(k, sd, cox):
+    """Reject a malformed step k of a pipeline file before anything runs."""
+    if not isinstance(sd, dict):
+        raise SpectraError("step %d: expected an object, got %r" % (k, sd))
+    var = sd.get("var")
+    if not isinstance(var, str):
+        raise SpectraError("step %d: var must be a string, got %r" % (k, var))
+    where = "step %d (%s)" % (k, var)
+    gen = sd.get("gen")
+    if gen is not None:
+        if isinstance(gen, bool) or not isinstance(gen, int):
+            raise SpectraError("%s: gen must be null or an integer, got %r"
+                               % (where, gen))
+        try:
+            cox.check_word((gen,))
+        except cx.CoxeterError as e:
+            raise SpectraError("%s: %s" % (where, e)) from e
+    side = sd.get("side", "right")
+    if side not in ("left", "right"):
+        raise SpectraError('%s: side must be "left" or "right", got %r'
+                           % (where, side))
+    for key in ("delta", "rewrite", "expansions", "partner"):
+        if not isinstance(sd.get(key) or {}, dict):
+            raise SpectraError("%s: %s must be an object" % (where, key))
 
 
 def load_pipeline(d, name=None):
@@ -135,7 +157,8 @@ def load_pipeline(d, name=None):
     cox = cx.matrix_by_name(cm) if isinstance(cm, str) \
         else cx.CoxeterMatrix.from_json_dict(cm)
     steps = []
-    for sd in d["steps"]:
+    for i, sd in enumerate(d["steps"], 1):
+        _check_step(i, sd, cox)
         steps.append(Step(
             var=sd["var"],
             gen=sd.get("gen"),
@@ -177,166 +200,122 @@ def run_pipeline(spec):
     word = ()
     P = ps.build(["0"], [], rank={0: 0})
     gens = {"0": frozenset()}
+    nabla = ps.PosetMap(br.interval(cox, ()).to_poset(), P, {"e": "0"})
     expans = {}
-    iv = br.interval(cox, ())
-    nabla = ps.PosetMap(iv.to_poset(), P, {"e": "0"})
     reports = []
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            if st.gen is None:
-                word, iv, P, gens, nabla, rep = _step_none(
-                    cox, word, iv, P, gens, expans, st, nabla)
-            elif st.side == "left":
-                word, iv, P, gens, nabla, rep = _step_left(
-                    cox, word, iv, P, gens, expans, st, nabla)
-            elif st.side == "right":
-                word, iv, P, gens, nabla, rep = _step_right(
-                    cox, word, P, gens, expans, st)
-            else:
-                raise SpectraError("unknown step side %r" % (st.side,))
+            word, P, gens, nabla, rep = _step(cox, word, P, gens, nabla,
+                                              expans, st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             raise SpectraError("pipeline %r, step %d (%s): %s"
                                % (spec.name, idx + 1, st.var, e)) from e
-        rep = {"step": idx + 1, "var": st.var, **rep}
-        reports.append(rep)
-    res = PipelineResult(spec.name, word, P, iv, nabla, gens, reports)
+        reports.append({"step": idx + 1, "var": st.var, **rep})
     exp = spec.expect
-    if exp:
-        if "size" in exp and len(P) != exp["size"]:
-            raise SpectraError("pipeline %r: expected %d elements, got %d"
-                               % (spec.name, exp["size"], len(P)))
-        if "rank_profile" in exp and \
-                list(P.rank_profile()) != list(exp["rank_profile"]):
-            raise SpectraError("pipeline %r: rank profile %r, expected %r"
-                               % (spec.name, list(P.rank_profile()),
-                                  list(exp["rank_profile"])))
-    return res
+    if "size" in exp and len(P) != exp["size"]:
+        raise SpectraError("pipeline %r: expected %d elements, got %d"
+                           % (spec.name, exp["size"], len(P)))
+    if "rank_profile" in exp and \
+            list(P.rank_profile()) != list(exp["rank_profile"]):
+        raise SpectraError("pipeline %r: rank profile %r, expected %r"
+                           % (spec.name, list(P.rank_profile()),
+                              list(exp["rank_profile"])))
+    return PipelineResult(spec.name, word, P, nabla, gens, reports)
 
 
-def _sizes(sp, newsize):
-    return {"P": len(sp.P), "P1": len(sp.P1), "P2": len(sp.P2),
-            "P3": len(sp.P3), "new": newsize}
+def _step(cox, word, P, gens, nabla, expans, st):
+    """One Ore step: from nabla: [1,wbar] -> P to the next word, poset,
+    generator sets and isomorphism.  Returns (word, P, gens, nabla, report).
 
+    Classification, the new labels and ore_step are shared by every step;
+    only the extended map depends on the kind of step:
 
-def _step_right(cox, word, P, gens, expans, st):
+    - right: nabla is re-found as a block-respecting isomorphism
+      (W1,W2,W3 -> P1,P2,P3) and extended by extend_iso, which checks
+      hypotheses (a) and (b);
+    - left: w in [1, a*wbar] goes to the new prime over nabla(s_a w) if a
+      is a left descent of w, else to iota(nabla(w));
+    - none (no Bruhat letter): iota . nabla, with P labels rewritten.
+
+    The extended map must be an isomorphism, and after a step with a letter
+    the contraction square must commute.
+    """
     a = st.gen
-    part = br.partition(cox, word, a)
-    sp = classify(P, gens, st.delta, expans, st.partner)
+    kind = "none" if a is None else st.side
+    part = phi_elems = None
     wl = br.word_label
-    Wp = part.interval_wbar.to_poset()
-    constraints = [
-        (sorted(wl(w) for w in part.W1), sorted(sp.P1)),
-        (sorted(wl(w) for w in part.W2), sorted(sp.P2)),
-        (sorted(wl(w) for w in part.W3), sorted(sp.P3)),
-    ]
-    nabla = ps.find_isomorphism(Wp, P, constraints)
-    if nabla is None:
-        raise SpectraError(
-            "no block-respecting isomorphism [1,wbar] -> P "
-            "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
-            % (len(part.W1), len(part.W2), len(part.W3),
-               len(sp.P1), len(sp.P2), len(sp.P3)))
-    relabel = {p: label_of(_rewrite_gens(gens[p], st.rewrite)) for p in sp.P1}
-    newlab = {q: label_of(gens[q] | {st.var}) for q in sp.P3}
-    setup, _iota = ext.ore_step(sp, newlab, relabel)
-    nablat = ext.extend_iso(nabla, part, setup)
-    sq = ext.commuting_square(nabla, nablat, part, setup)
-    if not sq["ok"]:
-        raise SpectraError("commuting square failed: %r" % (sq,))
-    new_gens = {}
-    for p in P.labels:
-        g = gens[p]
-        if p in sp.P1:
-            g = _rewrite_gens(g, st.rewrite)
-        new_gens[setup.iota[p]] = g
-    for q in sp.P3:
-        new_gens[newlab[q]] = gens[q] | {st.var}
-    new_word = word + (a,)
-    newP = _ranked(setup.Ptilde, nablat.assignment)
-    rep = {"kind": "right", "gen": a,
-           "hypothesis_a": True, "hypothesis_b": True,
-           "square_commutes": sq["square_commutes"],
-           "at_most_2_1": sq["at_most_2_1"],
-           "new_fibers_over_P3": sq["new_fibers_over_P3"],
-           "sizes": _sizes(sp, len(setup.Ptilde))}
-    return new_word, part.interval_wbara, newP, new_gens, \
-        ps.PosetMap(nablat.source, newP, nablat.assignment), rep
-
-
-def _step_left(cox, word, iv, P, gens, expans, st, nabla):
-    a = st.gen
-    if a in set(word):
-        raise SpectraError("left step generator %d already occurs in wbar" % a)
-    if st.delta:
-        raise SpectraError("left steps require delta = 0")
-    sp = classify(P, gens, {}, expans)
-    if sp.P1 or sp.P2:
-        raise SpectraError("left step expects every prime in P3")
-    newlab = {q: label_of(gens[q] | {st.var}) for q in sp.P3}
-    setup, _iota = ext.ore_step(sp, newlab, {})
-    new_word = (a,) + word
-    if not cx.is_reduced(cox, new_word):
-        raise SpectraError("prepending generator %d does not lengthen wbar" % a)
-    iva = br.interval(cox, new_word)
-    wl = br.word_label
-    assign = {}
-    phi_elems = {}
-    for w in iva.elements:
-        if cx.left_descent(w, a):
-            wp = w.times_gen(a, side="left")
-            assign[wl(w)] = newlab[nabla(wl(wp))]
-            phi_elems[wl(w)] = wl(wp)
-        else:
-            assign[wl(w)] = setup.iota[nabla(wl(w))]
-            phi_elems[wl(w)] = wl(w)
-    nablat = ps.PosetMap(iva.to_poset(), setup.Ptilde, assign)
-    if not nablat.is_isomorphism:
-        raise SpectraError("left-step extension is not an isomorphism")
-    sq = ext.commuting_square(nabla, nablat, None, setup, phi_elems=phi_elems)
-    if not sq["ok"]:
-        raise SpectraError("commuting square failed: %r" % (sq,))
-    new_gens = {setup.iota[p]: gens[p] for p in P.labels}
-    for q in sp.P3:
-        new_gens[newlab[q]] = gens[q] | {st.var}
-    newP = _ranked(setup.Ptilde, assign)
-    rep = {"kind": "left", "gen": a,
-           "hypothesis_a": True, "hypothesis_b": True,
-           "square_commutes": sq["square_commutes"],
-           "at_most_2_1": sq["at_most_2_1"],
-           "new_fibers_over_P3": sq["new_fibers_over_P3"],
-           "sizes": _sizes(sp, len(setup.Ptilde))}
-    return new_word, iva, newP, new_gens, \
-        ps.PosetMap(nablat.source, newP, assign), rep
-
-
-def _step_none(cox, word, iv, P, gens, expans, st, nabla):
-    """A variable with no Bruhat letter: the poset passes through unchanged
-    except that P1 labels pick up the declared rewrite."""
+    if kind == "left":
+        if a in word:
+            raise SpectraError("left step generator %d already occurs in wbar"
+                               % a)
+        if st.delta:
+            raise SpectraError("left steps require delta = 0")
+    elif kind != "none":
+        part = br.partition(cox, word, a)
     sp = classify(P, gens, st.delta, expans, st.partner)
-    if sp.P3:
+    if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
-    relabel = {p: label_of(_rewrite_gens(gens[p], st.rewrite)) for p in sp.P1}
-    setup, _iota = ext.ore_step(sp, {}, relabel)
-    assign = {l: setup.iota[nabla(l)] for l in nabla.source.labels}
-    newP = _ranked(setup.Ptilde, assign)
-    nablat = ps.PosetMap(nabla.source, newP, assign)
-    if not nablat.is_isomorphism:
-        raise SpectraError("relabeling step broke the isomorphism")
-    new_gens = {}
-    for p in P.labels:
-        g = gens[p]
-        if p in sp.P1:
-            g = _rewrite_gens(g, st.rewrite)
-        new_gens[setup.iota[p]] = g
-    rep = {"kind": "none", "gen": None,
+    if part is not None:
+        blocks = ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
+        nabla = ps.find_isomorphism(
+            part.interval_wbar.to_poset(), P,
+            [(sorted(wl(w) for w in W), sorted(Q)) for W, Q in blocks])
+        if nabla is None:
+            raise SpectraError(
+                "no block-respecting isomorphism [1,wbar] -> P "
+                "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
+                % tuple([len(W) for W, _ in blocks] +
+                        [len(Q) for _, Q in blocks]))
+    rewritten = {p: _rewrite_gens(gens[p], st.rewrite) for p in sp.P1}
+    grown = {q: gens[q] | {st.var} for q in sp.P3}
+    newlab = {q: label_of(g) for q, g in grown.items()}
+    setup = ext.ore_step(sp, newlab,
+                         {p: label_of(g) for p, g in rewritten.items()})
+    if part is not None:
+        word = word + (a,)
+        nablat = ext.extend_iso(nabla, part, setup)
+    else:
+        if kind == "left":
+            word = (a,) + word
+            iva = br.interval(cox, word)
+            source, assign, phi_elems = iva.to_poset(), {}, {}
+            for w in iva.elements:
+                if cx.left_descent(w, a):
+                    wp = w.times_gen(a, side="left")
+                    assign[wl(w)] = newlab[nabla(wl(wp))]
+                    phi_elems[wl(w)] = wl(wp)
+                else:
+                    assign[wl(w)] = setup.iota[nabla(wl(w))]
+                    phi_elems[wl(w)] = wl(w)
+        else:
+            source = nabla.source
+            assign = {l: setup.iota[nabla(l)] for l in source.labels}
+        nablat = ps.PosetMap(source, setup.Ptilde, assign)
+        if not nablat.is_isomorphism:
+            raise SpectraError("%s-step extension is not an isomorphism"
+                               % kind)
+    rep = {"kind": kind, "gen": a,
            "hypothesis_a": None, "hypothesis_b": None,
            "square_commutes": None, "at_most_2_1": None,
            "new_fibers_over_P3": None,
-           "sizes": _sizes(sp, len(setup.Ptilde))}
-    return word, iv, newP, new_gens, nablat, rep
+           "sizes": {"P": len(sp.P), "P1": len(sp.P1), "P2": len(sp.P2),
+                     "P3": len(sp.P3), "new": len(setup.Ptilde)}}
+    if kind != "none":
+        sq = ext.commuting_square(nabla, nablat, part, setup, phi_elems)
+        if not sq["ok"]:
+            raise SpectraError("commuting square failed: %r" % (sq,))
+        rep.update(hypothesis_a=True, hypothesis_b=True,
+                   square_commutes=sq["square_commutes"],
+                   at_most_2_1=sq["at_most_2_1"],
+                   new_fibers_over_P3=sq["new_fibers_over_P3"])
+    new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
+    new_gens.update({newlab[q]: g for q, g in grown.items()})
+    newP = _ranked(setup.Ptilde, nablat.assignment)
+    return word, newP, new_gens, \
+        ps.PosetMap(nablat.source, newP, nablat.assignment), rep
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +349,9 @@ def _weyl(n):
                       "rewrite": {xk: om},
                       "expansions": {om: [[om_prev], [yk, xk]]}})
     expect = {1: {"size": 2}, 2: {"size": 6},
-              3: {"size": 20, "rank_profile": [1, 3, 5, 6, 4, 1]}}.get(n, {})
+              3: {"size": 20, "rank_profile": [1, 3, 5, 6, 4, 1]},
+              4: {"size": 68,
+                  "rank_profile": [1, 4, 9, 15, 18, 14, 6, 1]}}[n]
     return {"name": "weyl%d" % n, "coxeter": "A%d" % n,
             "steps": steps, "expect": expect}
 
@@ -393,7 +374,9 @@ def _horton(n):
                       "rewrite": {xk: om},
                       "expansions": exp})
     expect = {3: {"size": 48,
-                  "rank_profile": [1, 4, 9, 14, 13, 6, 1]}}.get(n, {})
+                  "rank_profile": [1, 4, 9, 14, 13, 6, 1]},
+              4: {"size": 164,
+                  "rank_profile": [1, 5, 14, 28, 41, 41, 25, 8, 1]}}[n]
     return {"name": "horton%d" % n, "coxeter": "D%d" % (n + 1),
             "steps": steps, "expect": expect}
 

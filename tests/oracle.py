@@ -1,8 +1,14 @@
-"""Independent Bruhat-order oracle for symmetric groups.
+"""Independent Bruhat-order oracle for symmetric groups and type D.
 
 Deliberately avoids the package under test: elements are permutations of
 {0..n-1}, s_i is the transposition (i-1, i), length is inversion count, and
 u <= v is decided by enumerating all subwords of a reduced word for v.
+
+Type D_n elements are even signed permutations of 1..n, stored as windows
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, 8.2), with the package's
+fork at node 3: generator 1 is [-2, -1, 3, ..., n] and generator k >= 2
+swaps positions k-1 and k.  The length is
+inv(w) + #{i < j : w(i) + w(j) < 0}.
 """
 
 from itertools import permutations
@@ -60,3 +66,39 @@ def bruhat_leq_oracle(u, v):
 
 def all_perms(n):
     return list(permutations(range(n)))
+
+
+def d_times_gen(w, i):
+    """w * s_i for an even signed permutation window w."""
+    w = list(w)
+    if i == 1:
+        w[0], w[1] = -w[1], -w[0]
+    else:
+        w[i - 2], w[i - 1] = w[i - 1], w[i - 2]
+    return tuple(w)
+
+
+def d_of_word(n, word):
+    w = tuple(range(1, n + 1))
+    for i in word:
+        w = d_times_gen(w, i)
+    return w
+
+
+def d_length(w):
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n)
+               if w[i] > w[j]) + \
+        sum(1 for i in range(n) for j in range(i + 1, n) if w[i] + w[j] < 0)
+
+
+def interval_profile(word, of_word, length):
+    """Rank profile of [e, w] for a reduced word of w: the distinct subword
+    products (subword property), counted by length."""
+    k = len(word)
+    elems = {of_word(tuple(word[i] for i in range(k) if mask >> i & 1))
+             for mask in range(1 << k)}
+    prof = [0] * (k + 1)
+    for u in elems:
+        prof[length(u)] += 1
+    return prof

@@ -9,6 +9,7 @@ import oracle
 A2 = cx.builtin_matrix("A", 2)
 A3 = cx.builtin_matrix("A", 3)
 AFF = cx.builtin_matrix("affineA2")
+D4 = cx.builtin_matrix("D", 4)
 
 
 def el(m, word):
@@ -138,6 +139,42 @@ def test_is_decomposable_examples():
     assert br.is_decomposable(A3, (1, 3)) == ((1,), (3,))
     assert br.is_decomposable(A2, (1, 2)) == ((1,), (2,))
     assert br.is_decomposable(A2, (2, 1, 2)) is None
+
+
+def test_is_decomposable_long_word():
+    # l(w) = 9: w = s5 * (1,2,1,3,2,1,4,3), supports {5} and {1,2,3,4}
+    A5 = cx.builtin_matrix("A", 5)
+    u, v = br.is_decomposable(A5, (1, 2, 1, 3, 2, 1, 5, 4, 3))
+    assert u == (5,)
+    assert cx.multiply(el(A5, u), el(A5, v)) == \
+        el(A5, (1, 2, 1, 3, 2, 1, 5, 4, 3))
+    assert len(u) + len(v) == 9
+
+
+@pytest.mark.parametrize("m, bound", [(A3, 6), (D4, 4), (AFF, 5)],
+                         ids=["A3", "D4", "affineA2"])
+def test_is_decomposable_matches_brute_force(m, bound):
+    """w decomposes iff some length-additive w = u*v, u, v != e, has
+    [1,u] & [1,v] = {e}; any factorization returned must be one."""
+    elems = cx.elements_up_to_length(m, bound)
+    below = {w: set(br.interval(m, w.word).elements) for w in elems}
+    e = cx.identity_element(m)
+    split = set()
+    for u in elems:
+        for v in elems:
+            if u == e or v == e or u.length + v.length > bound:
+                continue
+            w = cx.multiply(u, v)
+            if w.length == u.length + v.length and below[u] & below[v] == {e}:
+                split.add(w)
+    for w in elems:
+        got = br.is_decomposable(m, w.word)
+        assert (got is not None) == (w in split), w
+        if got is not None:
+            u, v = el(m, got[0]), el(m, got[1])
+            assert cx.multiply(u, v) == w
+            assert u.length + v.length == w.length
+            assert below[u] & below[v] == {e}
 
 
 def test_check_lifting():

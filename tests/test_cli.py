@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bruhatspec import cli
 
 
@@ -80,6 +82,32 @@ def test_pipeline_verification_failure(tmp_path, capsys):
     code, _, err = run(capsys, "pipeline", "--file", str(path))
     assert code == 1
     assert "verification failure" in err
+
+
+@pytest.mark.parametrize("step, message", [
+    ({"var": "x1", "gen": "2"}, "gen must be null or an integer"),
+    ({"var": "x1", "gen": True}, "gen must be null or an integer"),
+    ({"var": "x1", "gen": 7}, "invalid generator index 7"),
+    ({"var": "x1", "gen": 1, "side": "up"}, 'side must be "left" or "right"'),
+    ({"var": ["x1"], "gen": 1}, "step 1: var must be a string"),
+    ({"var": "x1", "gen": 1, "delta": [["x1"]]}, "delta must be an object"),
+    ("x1", "step 1: expected an object"),
+])
+def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
+                                                message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"coxeter": "A2", "steps": [step]}))
+    code, _, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+def test_pipeline_unknown_builtin_is_usage_error(capsys):
+    code, _, err = run(capsys, "pipeline", "--builtin", "nonsense")
+    assert code == 2
+    assert "unknown builtin pipeline" in err and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 def test_export_json(capsys):

@@ -58,11 +58,14 @@ def sp_all_p3(P):
 
 def test_ore_step_delta0_gives_product():
     P = chain2()
-    setup, iota = ext.ore_step(sp_all_p3(P), lambda q: q + "+x")
+    setup = ext.ore_step(sp_all_p3(P), lambda q: q + "+x")
     assert len(setup.Ptilde) == 4
     prod = ps.product(P, ps.two_chain())
     assert ps.find_isomorphism(setup.Ptilde, prod) is not None
-    assert iota.injective and iota.order_preserving
+    iota = setup.iota
+    assert len(set(iota.values())) == len(P)
+    assert all(setup.Ptilde.leq(iota[p], iota[q])
+               for p in P.labels for q in P.labels if P.leq(p, q))
     assert ext.validate_setup(setup)["ok"]
 
 
@@ -71,7 +74,7 @@ def test_ore_step_unit_delta_weyl_base():
     P = chain2()
     sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]),
                                frozenset(), {"x1": "0"})
-    setup, _ = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
+    setup = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
     assert len(setup.Ptilde) == 2
     assert sorted(setup.Ptilde.labels) == ["0", "Omega1"]
     assert setup.phi["Omega1"] == "0"   # projection through the partner
@@ -94,7 +97,7 @@ def test_ore_step_qmatrix_sizes():
     P3 = frozenset(lab(s) for s in subsets if s & {"x2", "x3"})
     sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]), P3,
                                {"x1": "0"})
-    setup, _ = ext.ore_step(sp, lambda q: q + ",x4", relabel={"x1": "Dq"})
+    setup = ext.ore_step(sp, lambda q: q + ",x4", relabel={"x1": "Dq"})
     assert len(setup.Ptilde) == 14
     iv = br.interval(A3, (2, 1, 3, 2)).to_poset()
     assert ps.find_isomorphism(setup.Ptilde, iv) is not None
@@ -110,8 +113,8 @@ def test_ore_step_partner_missing():
 
 def test_extend_iso_trivial():
     part = br.partition(A2, (), 1)
-    setup, _ = ext.ore_step(sp_all_p3(ps.build(["0"], [])),
-                            lambda q: "x1")
+    setup = ext.ore_step(sp_all_p3(ps.build(["0"], [])),
+                         lambda q: "x1")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), ps.build(["0"], []),
                         {"e": "0"})
     nablat = ext.extend_iso(nabla, part, setup)
@@ -127,7 +130,7 @@ def test_extend_iso_hypothesis_a_failure():
     P = chain2()
     sp = ext.SpectrumPartition(P, frozenset(), frozenset(),
                                frozenset(P.labels), {})
-    setup, _ = ext.ore_step(sp, lambda q: q + "+x")
+    setup = ext.ore_step(sp, lambda q: q + "+x")
     # nabla maps W3 onto P, but swap labels so nabla(W3) != PhiTilde(Px)
     bad_setup = ext.SetupData(
         Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
@@ -144,7 +147,7 @@ def test_extend_iso_delta0_step():
     # quantum affine step n=2: extend the 2-chain across s2
     part = br.partition(A2, (1,), 2)
     P = chain2()
-    setup, _ = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
                         {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
@@ -157,7 +160,7 @@ def test_extend_iso_delta0_step():
 def test_extend_iso_restriction_formula():
     part = br.partition(A2, (1,), 2)
     P = chain2()
-    setup, _ = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
                         {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
@@ -171,7 +174,7 @@ def test_commuting_square_weyl_fiber_over_partner():
     P = chain2()
     sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]),
                                frozenset(), {"x1": "0"})
-    setup, _ = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
+    setup = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
     fibers = {}
     inv_iota = {v: k for k, v in setup.iota.items()}
     for t in setup.Ptilde.labels:

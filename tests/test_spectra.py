@@ -9,6 +9,8 @@ from bruhatspec import coxeter as cx
 from bruhatspec import poset as ps
 from bruhatspec import spectra as sp
 
+import oracle
+
 A3 = cx.builtin_matrix("A", 3)
 
 
@@ -222,3 +224,59 @@ def test_final_poset_matches_interval():
     iv = br.interval(A3, res.word).to_poset()
     f = ps.find_isomorphism(res.final_poset, iv)
     assert f is not None and f.is_isomorphism
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([{"var": "x1", "gen": 1}, {"var": "x2", "gen": 1, "side": "left"}],
+     "step 2 \\(x2\\): left step generator 1 already occurs in wbar"),
+    ([{"var": "x1", "gen": 1},
+      {"var": "x2", "gen": 2, "side": "left", "delta": {"x1": [["x1"]]}}],
+     "step 2 \\(x2\\): left steps require delta = 0"),
+    ([{"var": "x1", "gen": 1}, {"var": "y1", "gen": None}],
+     "step 2 \\(y1\\): a step without a Bruhat letter requires P3 = \\{\\}"),
+])
+def test_step_guards(steps, message):
+    spec = sp.load_pipeline({"coxeter": "A2", "steps": steps})
+    with pytest.raises(sp.SpectraError, match=message):
+        sp.run_pipeline(spec)
+
+
+def schedule_word(spec):
+    """The word a schedule builds: right steps append, left steps prepend."""
+    word = ()
+    for st in spec.steps:
+        if st.gen is not None:
+            word = (st.gen,) + word if st.side == "left" else word + (st.gen,)
+    return word
+
+
+def s_n(n):
+    return lambda w: oracle.perm_of_word(n, w)
+
+
+def d_n(n):
+    return lambda w: oracle.d_of_word(n, w)
+
+
+@pytest.mark.parametrize("name, word, of_word, length", [
+    ("weyl3", (3, 2, 1, 2, 3), s_n(4), oracle.inversions),
+    ("weyl4", (4, 3, 2, 1, 2, 3, 4), s_n(5), oracle.inversions),
+    ("horton3", (4, 3, 2, 1, 3, 4), d_n(4), oracle.d_length),
+    ("horton4", (5, 4, 3, 2, 1, 3, 4, 5), d_n(5), oracle.d_length),
+])
+def test_expect_matches_oracle(name, word, of_word, length):
+    """The frozen expect block equals [e, w] in an independent model, for
+    the word the schedule builds; the pipeline itself is not run."""
+    spec = sp.builtin(name)
+    assert schedule_word(spec) == word
+    assert length(of_word(word)) == len(word)
+    prof = oracle.interval_profile(word, of_word, length)
+    assert spec.expect == {"size": sum(prof), "rank_profile": prof}
+
+
+@pytest.mark.parametrize("word", [(1, 3, 2), (2, 3, 4, 1, 3), (3, 1, 2, 3, 4)])
+def test_d_oracle_matches_package(word):
+    D5 = cx.builtin_matrix("D", 5)
+    iv = br.interval(D5, word)
+    prof = oracle.interval_profile(word, d_n(5), oracle.d_length)
+    assert list(iv.rank_profile()) == prof
