@@ -3,6 +3,7 @@ selftest verb and the test suite.  Each criterion returns a detail string on
 success and raises AssertionError (or a domain error) on failure."""
 
 import time
+from itertools import combinations
 
 from . import bruhat as br
 from . import coxeter as cx
@@ -30,16 +31,18 @@ def pipeline(name):
 
 
 def criterion_1():
-    """bruhat_leq agrees with subword-set membership on all pairs of A3."""
+    """interval() and bruhat_leq agree with subword products on all of A3."""
     m = cx.builtin_matrix("A", 3)
     elems = cx.elements_up_to_length(m, 6)
     assert len(elems) == 24
-    down = {v.word: {u.word for u in br.interval(m, v.word).elements}
-            for v in elems}
     pairs = 0
-    for u in elems:
-        for v in elems:
-            assert br.bruhat_leq(u, v) == (u.word in down[v.word]), \
+    for v in elems:
+        below = {cx.element_from_word(m, sub) for k in range(v.length + 1)
+                 for sub in combinations(v.word, k)}
+        assert set(br.interval(m, v.word).elements) == below, \
+            "interval disagrees at %r" % (v.word,)
+        for u in elems:
+            assert br.bruhat_leq(u, v) == (u in below), \
                 "disagreement at %r <= %r" % (u.word, v.word)
             pairs += 1
     return "%d ordered pairs agree" % pairs

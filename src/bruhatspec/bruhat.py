@@ -1,6 +1,7 @@
-"""Bruhat order: comparison via the lifting property, interval generation by
-subword enumeration, the W1-W4 partition of [1, wbar*a], the projection Phi,
-decomposability, and an exhaustive lifting-property checker."""
+"""Bruhat order: comparison via the lifting property, lower intervals [1, w]
+built one letter at a time together with their order, the W1-W4 partition
+of [1, wbar*a], the projection Phi, decomposability, and an exhaustive
+lifting-property checker."""
 
 from itertools import combinations
 
@@ -12,46 +13,39 @@ class BruhatError(ValueError):
     pass
 
 
-_leq_cache = {}
-
-
 def bruhat_leq(u, v):
     """u <= v in Bruhat order.
 
-    Recursion on the lifting property: take a right descent s of v (we always
-    take the largest index, for a deterministic memo key); if s is also a
-    descent of u, compare (us, vs), otherwise (u, vs).
+    Lifting property: take a right descent s of v (the largest index); if s
+    is also a descent of u, compare (us, vs), otherwise (u, vs).  Once
+    l(u) >= l(v), u <= v iff u = v.
     """
     if u.cox != v.cox:
         raise cx.CoxeterError("elements from different Coxeter groups")
-    if u.length > v.length:
-        return False
-    key = (u.cox, u.matrix, v.matrix)
-    hit = _leq_cache.get(key)
-    if hit is not None:
-        return hit
-    if v.is_identity():
-        res = u.is_identity()
-    else:
+    while u.length < v.length:
         i = max(j for j in v.cox.generators if cx.right_descent(v, j))
-        vs = v.times_gen(i)
         if cx.right_descent(u, i):
-            res = bruhat_leq(u.times_gen(i), vs)
-        else:
-            res = bruhat_leq(u, vs)
-    _leq_cache[key] = res
-    return res
+            u = u.times_gen(i)
+        v = v.times_gen(i)
+    return u == v
 
 
 class BruhatInterval:
-    """The interval [1, base], elements keyed by canonical word."""
+    """The interval [1, base] with its order.
 
-    __slots__ = ("cox", "base", "elements")
+    `elements` is a tuple in build order and `index` maps each element to its
+    position there.  `down[i]` is the down-set of elements[i] as an int
+    bitset over positions: bit j is set iff elements[j] <= elements[i].
+    """
 
-    def __init__(self, cox, base, elements):
+    __slots__ = ("cox", "base", "elements", "index", "down")
+
+    def __init__(self, cox, base, elements, index, down):
         self.cox = cox
         self.base = base
         self.elements = elements
+        self.index = index
+        self.down = down
 
     def __len__(self):
         return len(self.elements)
@@ -63,22 +57,19 @@ class BruhatInterval:
             prof[w.length] += 1
         return tuple(prof)
 
-    def sorted_elements(self):
-        return sorted(self.elements, key=lambda w: (w.length, w.word))
-
     def to_poset(self, label=None):
-        """LabeledPoset view; labels default to dotted canonical words."""
+        """LabeledPoset view, elements sorted by (length, canonical word);
+        labels default to dotted canonical words."""
         if label is None:
             label = word_label
-        elems = self.sorted_elements()
+        elems = self.elements
+        order = sorted(range(len(elems)),
+                       key=lambda i: (elems[i].length, elems[i].word))
         labels = [label(w) for w in elems]
-        rels = []
-        for u in elems:
-            for v in elems:
-                if u is not v and u.length < v.length and bruhat_leq(u, v):
-                    rels.append((label(u), label(v)))
-        rank = {i: elems[i].length for i in range(len(elems))}
-        return ps.build(labels, rels, rank=rank)
+        rels = [(labels[j], labels[i]) for i in order for j in order
+                if j != i and self.down[i] >> j & 1]
+        rank = {k: elems[i].length for k, i in enumerate(order)}
+        return ps.build([labels[i] for i in order], rels, rank=rank)
 
 
 def word_label(w):
@@ -86,19 +77,39 @@ def word_label(w):
 
 
 def interval(m, word):
-    """[1, w] as the set of canonical forms of all subwords of the reduced
-    word w (subword property).  Works in infinite groups."""
+    """[1, w] for a reduced word w, with its order (see BruhatInterval).
+
+    Built one letter s at a time: for u < us, [1, us] = [1, u] | [1, u]s
+    (Bjorner-Brenti 2.2.7).  With u the current base this gives the new
+    elements us; with each u whose us is new it gives that element's
+    down-set, down(u) | down(u)s.  Works in infinite groups.
+    """
     word = m.check_word(word)
-    if not cx.is_reduced(m, word):
-        raise BruhatError("input word is not reduced")
-    k = len(word)
-    seen = {}
-    for mask in range(1 << k):
-        sub = tuple(word[i] for i in range(k) if mask >> i & 1)
-        w = cx.element_from_word(m, sub)
-        seen.setdefault(w.word, w)
-    base = cx.element_from_word(m, word)
-    return BruhatInterval(m, base, set(seen.values()))
+    base = cx.identity_element(m)
+    elems, index, down = [base], {base: 0}, [1]
+    for s in word:
+        if cx.right_descent(base, s):
+            raise BruhatError("input word is not reduced")
+        base = base.times_gen(s)
+        n = len(elems)
+        times_s = [None] * n    # times_s[i]: the position of elems[i]*s
+        for i in range(n):
+            if cx.right_descent(elems[i], s):
+                continue        # filled in from elems[i]*s, which is below
+            us = elems[i].times_gen(s)
+            j = times_s[i] = index.setdefault(us, len(elems))
+            if j == len(elems):
+                elems.append(us)
+            else:
+                times_s[j] = i
+        for i in range(n):
+            if times_s[i] >= n:     # a new element, over elems[i]
+                ds = down[i]
+                for k in range(n):
+                    if down[i] >> k & 1:
+                        ds |= 1 << times_s[k]
+                down.append(ds)
+    return BruhatInterval(m, base, tuple(elems), index, tuple(down))
 
 
 class BruhatPartition:
@@ -120,24 +131,18 @@ def partition(m, wbar_word, a):
     Requires wbar < wbar*a (the standing hypothesis wbar in W_a'); the stated
     block identities and upper-set facts are verified before returning.
     """
-    wbar_word = m.check_word(wbar_word)
-    if not cx.is_reduced(m, wbar_word):
-        raise BruhatError("wbar is not reduced")
-    wbar = cx.element_from_word(m, wbar_word)
+    iv = interval(m, wbar_word)
+    wbar = iv.base
     if cx.right_descent(wbar, a):
         raise BruhatError("wbar*a < wbar: wbar must not have a as right descent")
-    iv = interval(m, wbar_word)
-    iva = interval(m, wbar_word + (a,))
-    wbara = iva.base
+    iva = interval(m, tuple(wbar_word) + (a,))
     W1, W2, W3, W4 = set(), set(), set(), set()
     for w in iva.elements:
-        in_old = bruhat_leq(w, wbar)
-        wa = w.times_gen(a)
-        if not in_old:
+        if w not in iv.index:
             W4.add(w)
         elif cx.right_descent(w, a):
             W1.add(w)
-        elif bruhat_leq(wa, wbar):
+        elif w.times_gen(a) in iv.index:
             W2.add(w)
         else:
             W3.add(w)
@@ -149,33 +154,27 @@ def partition(m, wbar_word, a):
 
 def _check_partition(part):
     a = part.a
-    ma1 = {w.times_gen(a) for w in part.W1}
-    if ma1 != set(part.W2):
+    iv, iva = part.interval_wbar, part.interval_wbara
+    if {w.times_gen(a) for w in part.W1} != part.W2:
         raise BruhatError("W2 != m_a(W1)")
-    ma4 = {w.times_gen(a) for w in part.W4}
-    if ma4 != set(part.W3):
+    if {w.times_gen(a) for w in part.W4} != part.W3:
         raise BruhatError("W3 != m_a(W4)")
     old = part.W1 | part.W2 | part.W3
-    if old != set(part.interval_wbar.elements):
+    if old != set(iv.elements):
         raise BruhatError("W1|W2|W3 != [1,wbar]")
-    if old | part.W4 != set(part.interval_wbara.elements):
+    if old | part.W4 != set(iva.elements):
         raise BruhatError("W1|..|W4 != [1,wbar*a]")
-    if not _upper_in(part.W3, part.interval_wbar):
-        raise BruhatError("W3 not upper in [1,wbar]")
-    if not _upper_in(part.W4, part.interval_wbara):
-        raise BruhatError("W4 not upper in [1,wbar*a]")
-    if not _upper_in(part.W3 | part.W4, part.interval_wbara):
-        raise BruhatError("W3|W4 not upper in [1,wbar*a]")
-    for w in part.interval_wbara.elements:
-        desc = cx.right_descent(w, a)
-        if (w in part.W1 | part.W4) != desc:
+    for name, S, ivs in (("W3", part.W3, iv), ("W4", part.W4, iva),
+                         ("W3|W4", part.W3 | part.W4, iva)):
+        # S is upper iff nothing outside S lies above a member of S
+        mask = sum(1 << ivs.index[w] for w in S)
+        if any(d & mask for i, d in enumerate(ivs.down) if not mask >> i & 1):
+            raise BruhatError("%s not upper in %s" % (
+                name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))
+    w14 = part.W1 | part.W4
+    for w in iva.elements:
+        if (w in w14) != cx.right_descent(w, a):
             raise BruhatError("W1|W4 != [1,wbar*a] cap W_a")
-
-
-def _upper_in(S, iv):
-    return all(v in S
-               for u in S for v in iv.elements
-               if u is not v and bruhat_leq(u, v))
 
 
 def phi(iva, a):
@@ -219,30 +218,24 @@ def is_decomposable(m, word):
 
 
 def check_lifting(m, bound):
-    """Exhaustive lifting-property check on all intervals [1, v], l(v) <= bound.
+    """Exhaustive lifting-property check on all pairs w < w' with
+    l(w') <= bound.
 
-    For every pair w < w' in [1, v] and every generator a with w < wa and
-    w'a < w', verifies w <= w'a and wa <= w'.  Returns (ok, counterexample).
+    For every such pair and every generator a with w < wa and w'a < w',
+    verifies w <= w'a and wa <= w'.  Returns (ok, counterexample).
     """
     if bound < 1:
         raise BruhatError("bound must be >= 1")
     elems = cx.elements_up_to_length(m, bound)
-    tested = set()
-    for v in elems:
-        iv = interval(m, v.word)
-        pool = sorted(iv.elements, key=lambda w: (w.length, w.word))
-        for w in pool:
-            for wp in pool:
-                if w.length >= wp.length or (w.word, wp.word) in tested:
+    for w in elems:
+        for wp in elems:
+            if w.length >= wp.length or not bruhat_leq(w, wp):
+                continue
+            for a in m.generators:
+                if cx.right_descent(w, a) or not cx.right_descent(wp, a):
                     continue
-                if not bruhat_leq(w, wp):
-                    continue
-                tested.add((w.word, wp.word))
-                for a in m.generators:
-                    if cx.right_descent(w, a) or not cx.right_descent(wp, a):
-                        continue
-                    wa = w.times_gen(a)
-                    wpa = wp.times_gen(a)
-                    if not bruhat_leq(w, wpa) or not bruhat_leq(wa, wp):
-                        return False, (w.word, wp.word, a)
+                wa = w.times_gen(a)
+                wpa = wp.times_gen(a)
+                if not bruhat_leq(w, wpa) or not bruhat_leq(wa, wp):
+                    return False, (w.word, wp.word, a)
     return True, None

@@ -38,12 +38,20 @@ UNIT = Monomial((), unit=True)
 
 
 def parse_monomial(obj):
-    if isinstance(obj, dict):
-        return Monomial(tuple(obj.get("factors", ())), bool(obj.get("unit")))
-    return Monomial(tuple(obj))
+    """A list of symbol strings, or a {"unit", "factors"} object."""
+    unit, factors = False, obj
+    if isinstance(obj, dict) and set(obj) <= {"unit", "factors"}:
+        unit, factors = obj.get("unit", False), obj.get("factors", [])
+    if not isinstance(unit, bool) or not isinstance(factors, list) or \
+            not all(isinstance(f, str) for f in factors):
+        raise SpectraError("a monomial is a list of strings or a "
+                           "{unit, factors} object, got %r" % (obj,))
+    return Monomial(tuple(factors), unit)
 
 
 def parse_monomials(items):
+    if not isinstance(items, list):
+        raise SpectraError("expected a list of monomials, got %r" % (items,))
     return tuple(parse_monomial(x) for x in items)
 
 
@@ -126,8 +134,8 @@ class PipelineResult:
     steps: list
 
 
-def _check_step(k, sd, cox):
-    """Reject a malformed step k of a pipeline file before anything runs."""
+def _load_step(k, sd, cox):
+    """Step k of a pipeline file, rejected before anything runs if bad."""
     if not isinstance(sd, dict):
         raise SpectraError("step %d: expected an object, got %r" % (k, sd))
     var = sd.get("var")
@@ -147,40 +155,40 @@ def _check_step(k, sd, cox):
     if side not in ("left", "right"):
         raise SpectraError('%s: side must be "left" or "right", got %r'
                            % (where, side))
+    maps = {}
     for key in ("delta", "rewrite", "expansions", "partner"):
-        if not isinstance(sd.get(key) or {}, dict):
+        maps[key] = sd.get(key) or {}
+        if not isinstance(maps[key], dict):
             raise SpectraError("%s: %s must be an object" % (where, key))
+    for key in ("rewrite", "partner"):
+        if not all(isinstance(x, str) for kv in maps[key].items() for x in kv):
+            raise SpectraError("%s: %s must map strings to strings, got %r"
+                               % (where, key, maps[key]))
+    try:
+        delta = {sym: parse_monomials(ms) for sym, ms in maps["delta"].items()}
+        expansions = {sym: parse_monomials(ms)
+                      for sym, ms in maps["expansions"].items()}
+    except SpectraError as e:
+        raise SpectraError("%s: %s" % (where, e)) from e
+    return Step(var, gen, side, delta, dict(maps["rewrite"]), expansions,
+                dict(maps["partner"]))
 
 
 def load_pipeline(d, name=None):
     cm = d["coxeter"]
     cox = cx.matrix_by_name(cm) if isinstance(cm, str) \
         else cx.CoxeterMatrix.from_json_dict(cm)
-    steps = []
-    for i, sd in enumerate(d["steps"], 1):
-        _check_step(i, sd, cox)
-        steps.append(Step(
-            var=sd["var"],
-            gen=sd.get("gen"),
-            side=sd.get("side", "right"),
-            delta={k: parse_monomials(v)
-                   for k, v in (sd.get("delta") or {}).items()},
-            rewrite=dict(sd.get("rewrite") or {}),
-            expansions={k: parse_monomials(v)
-                        for k, v in (sd.get("expansions") or {}).items()},
-            partner=dict(sd.get("partner") or {}),
-        ))
+    steps = [_load_step(k, sd, cox) for k, sd in enumerate(d["steps"], 1)]
     return PipelineSpec(name=name or d.get("name", "pipeline"),
                         cox=cox, steps=steps,
                         expect=dict(d.get("expect") or {}))
 
 
-def _wl_length(label):
-    return 0 if label == "e" else label.count(".") + 1
-
-
-def _ranked(Ptilde, assignment):
-    rank = {Ptilde.index(t): _wl_length(l) for l, t in assignment.items()}
+def _ranked(Ptilde, nablat):
+    """Ptilde with the ranks (lengths) of [1,w] carried over by nablat."""
+    src = nablat.source
+    rank = {Ptilde.index(nablat(l)): src.rank[i]
+            for i, l in enumerate(src.labels)}
     return ps.LabeledPoset(Ptilde.labels, Ptilde.up, Ptilde.hasse, rank)
 
 
@@ -233,9 +241,9 @@ def _step(cox, word, P, gens, nabla, expans, st):
     Classification, the new labels and ore_step are shared by every step;
     only the extended map depends on the kind of step:
 
-    - right: nabla is re-found as a block-respecting isomorphism
-      (W1,W2,W3 -> P1,P2,P3) and extended by extend_iso, which checks
-      hypotheses (a) and (b);
+    - right: nabla is re-found on its own source, the previous step's
+      [1,wbar], as a block-respecting isomorphism (W1,W2,W3 -> P1,P2,P3)
+      and extended by extend_iso, which checks hypotheses (a) and (b);
     - left: w in [1, a*wbar] goes to the new prime over nabla(s_a w) if a
       is a left descent of w, else to iota(nabla(w));
     - none (no Bruhat letter): iota . nabla, with P labels rewritten.
@@ -261,7 +269,7 @@ def _step(cox, word, P, gens, nabla, expans, st):
     if part is not None:
         blocks = ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
         nabla = ps.find_isomorphism(
-            part.interval_wbar.to_poset(), P,
+            nabla.source, P,
             [(sorted(wl(w) for w in W), sorted(Q)) for W, Q in blocks])
         if nabla is None:
             raise SpectraError(
@@ -313,7 +321,7 @@ def _step(cox, word, P, gens, nabla, expans, st):
                    new_fibers_over_P3=sq["new_fibers_over_P3"])
     new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
     new_gens.update({newlab[q]: g for q, g in grown.items()})
-    newP = _ranked(setup.Ptilde, nablat.assignment)
+    newP = _ranked(setup.Ptilde, nablat)
     return word, newP, new_gens, \
         ps.PosetMap(nablat.source, newP, nablat.assignment), rep
 
@@ -387,11 +395,6 @@ _DATA_FILES = ("qmatrix2", "m2-ext-A3", "m2-ext-affineA2")
 
 def _normalize_name(name):
     return name.strip().replace("(", "").replace(")", "")
-
-
-def builtin_names():
-    return list(_DATA_FILES) + \
-        ["qaffine<n>", "weyl<n>", "horton<n>"]
 
 
 def builtin(name):

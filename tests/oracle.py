@@ -102,3 +102,19 @@ def interval_profile(word, of_word, length):
     for u in elems:
         prof[length(u)] += 1
     return prof
+
+
+def interval_order(word, of_word):
+    """Bruhat order on [e, w] for a reduced word of w, by the subword
+    property alone: each subword product y maps to the products of the
+    subwords of a shortest subword giving y.  That subword is a reduced word
+    of y, so its subword products are exactly the elements below y."""
+    shortest = {}
+    for mask in range(1 << len(word)):
+        sub = tuple(x for i, x in enumerate(word) if mask >> i & 1)
+        y = of_word(sub)
+        if y not in shortest or len(sub) < len(shortest[y]):
+            shortest[y] = sub
+    return {y: {of_word(tuple(x for i, x in enumerate(sub) if mask >> i & 1))
+                for mask in range(1 << len(sub))}
+            for y, sub in shortest.items()}

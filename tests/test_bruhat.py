@@ -62,6 +62,41 @@ def test_interval_figure_counts():
 def test_interval_rejects_non_reduced():
     with pytest.raises(br.BruhatError):
         br.interval(A2, (1, 1))
+    with pytest.raises(br.BruhatError, match="input word is not reduced"):
+        br.interval(A2, (1, 2, 1, 2))
+    with pytest.raises(br.BruhatError, match="input word is not reduced"):
+        br.partition(A3, (1, 1), 2)
+
+
+@pytest.mark.parametrize("m, word, of_word", [
+    (cx.builtin_matrix("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1),
+     lambda w: oracle.perm_of_word(5, w)),
+    (cx.builtin_matrix("D", 5), (5, 4, 3, 2, 1, 3, 4, 5),
+     lambda w: oracle.d_of_word(5, w)),
+], ids=["A4-w0", "D5"])
+def test_interval_order_matches_subword_oracle(m, word, of_word):
+    """Every pair of [1, w] is ordered as the independent subword model
+    orders it (A4 w0: 120 elements, 14,400 pairs)."""
+    P = br.interval(m, word).to_poset()
+    order = oracle.interval_order(word, of_word)
+    model = {lab: of_word(() if lab == "e" else
+                          tuple(int(x) for x in lab.split(".")))
+             for lab in P.labels}
+    assert sorted(model.values()) == sorted(order)
+    for x in P.labels:
+        for y in P.labels:
+            assert P.leq(x, y) == (model[x] in order[model[y]]), (x, y)
+
+
+def test_interval_order_matches_bruhat_leq_affine():
+    word = (1, 2, 3, 1, 2, 3, 1, 2, 3, 1)
+    iv = br.interval(AFF, word)
+    assert iv.base.length == len(word)
+    P = iv.to_poset()
+    for u in iv.elements:
+        for v in iv.elements:
+            assert P.leq(br.word_label(u), br.word_label(v)) == \
+                br.bruhat_leq(u, v), (u.word, v.word)
 
 
 def test_partition_qmatrices_example():

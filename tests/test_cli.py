@@ -92,6 +92,14 @@ def test_pipeline_verification_failure(tmp_path, capsys):
     ({"var": ["x1"], "gen": 1}, "step 1: var must be a string"),
     ({"var": "x1", "gen": 1, "delta": [["x1"]]}, "delta must be an object"),
     ("x1", "step 1: expected an object"),
+    ({"var": "x1", "gen": 1, "delta": {"x1": "x2"}},
+     "expected a list of monomials, got 'x2'"),
+    ({"var": "x1", "gen": 1, "delta": {"x1": ["x2"]}},
+     "a monomial is a list of strings or a {unit, factors} object"),
+    ({"var": "x1", "gen": 1, "delta": {"x1": [["x2", 3]]}},
+     "a monomial is a list of strings or a {unit, factors} object"),
+    ({"var": "x1", "gen": 1, "rewrite": {"x1": 5}},
+     "rewrite must map strings to strings"),
 ])
 def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
                                                 message):
