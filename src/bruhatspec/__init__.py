@@ -16,7 +16,8 @@ from .poset import (LabeledPoset, PosetMap, PosetError, build, product,
 from .extension import (ExtensionError, SpectrumPartition, SetupData,
                         validate_setup, derive_partners, ore_step,
                         extend_iso, commuting_square)
-from .spectra import (SpectraError, Monomial, UNIT, in_ideal, classify,
-                      load_pipeline, run_pipeline, builtin, height, label_of)
+from .spectra import (SpectraError, SpectraInputError, Monomial, UNIT,
+                      in_ideal, classify, load_pipeline, run_pipeline,
+                      builtin, height, label_of)
 
 __version__ = "0.1.0"

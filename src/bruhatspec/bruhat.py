@@ -65,11 +65,13 @@ class BruhatInterval:
         elems = self.elements
         order = sorted(range(len(elems)),
                        key=lambda i: (elems[i].length, elems[i].word))
-        labels = [label(w) for w in elems]
-        rels = [(labels[j], labels[i]) for i in order for j in order
-                if j != i and self.down[i] >> j & 1]
+        pos = {i: k for k, i in enumerate(order)}
+        up = [0] * len(elems)
+        for i, d in enumerate(self.down):
+            for j in ps._bits(d):
+                up[pos[j]] |= 1 << pos[i]
         rank = {k: elems[i].length for k, i in enumerate(order)}
-        return ps.build([labels[i] for i in order], rels, rank=rank)
+        return ps.LabeledPoset([label(elems[i]) for i in order], up, rank)
 
 
 def word_label(w):
@@ -198,10 +200,9 @@ def is_decomposable(m, word):
     of u are tried in combinations order; the factors come back as
     canonical words.
     """
-    word = m.check_word(word)
-    if not cx.is_reduced(m, word):
-        raise BruhatError("input word is not reduced")
     w = cx.element_from_word(m, word)
+    if w.length != len(word):
+        raise BruhatError("input word is not reduced")
     supp = sorted(set(w.word))
     for k in range(1, len(supp)):
         for K in combinations(supp, k):

@@ -176,7 +176,7 @@ def main(argv=None):
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
-    except (cx.CoxeterError, br.BruhatError) as e:
+    except (cx.CoxeterError, br.BruhatError, sp.SpectraInputError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
     except (ps.PosetError, sp.SpectraError) as e:

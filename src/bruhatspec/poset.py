@@ -3,30 +3,63 @@ upper sets, constrained isomorphism search, exports, and the pushout square
 relating an interval [1, wbar*a] to copies of [1, wbar]."""
 
 import json
+from collections import Counter
 
 
 class PosetError(ValueError):
     pass
 
 
+def _bits(x):
+    """Positions of the set bits of the int x, ascending."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
+
+
 class LabeledPoset:
     """Finite poset over opaque string labels.
 
-    Internally elements are dense indices 0..n-1; `up[i]` is the frozenset of
-    indices j with i <= j (including i itself).  `rank` is optional; when
-    present every cover edge must raise it by exactly 1.
+    Elements are dense indices 0..n-1.  `up[i]` is an int bitset whose bit j
+    is set iff i <= j; `down[i]` is its transpose.  The order is checked to
+    be reflexive, antisymmetric and transitive, and `hasse` (the cover pairs
+    (i, j), sorted) is read off `up`.  `rank` is optional; when present
+    every cover edge must raise it by exactly 1.
     """
 
-    __slots__ = ("labels", "up", "hasse", "rank", "_index")
+    __slots__ = ("labels", "up", "down", "hasse", "rank", "_index")
 
-    def __init__(self, labels, up, hasse, rank=None):
+    def __init__(self, labels, up, rank=None):
         self.labels = tuple(labels)
         self.up = tuple(up)
-        self.hasse = tuple(hasse)
         self.rank = dict(rank) if rank is not None else None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
-        if len(self._index) != len(self.labels):
+        n = len(self.labels)
+        if len(self._index) != n:
             raise PosetError("duplicate labels")
+        if len(self.up) != n or any(not 0 <= u < 1 << n for u in self.up):
+            raise PosetError("up-sets do not match the %d labels" % n)
+        down = [0] * n
+        hasse = []
+        for i, u in enumerate(self.up):
+            if not u >> i & 1:
+                raise PosetError("%r is not <= itself" % (self.labels[i],))
+            strict = u & ~(1 << i)
+            above = 0       # everything strictly above some j > i
+            for j in _bits(strict):
+                if self.up[j] >> i & 1:
+                    raise PosetError("cycle through %r and %r"
+                                     % (self.labels[i], self.labels[j]))
+                if self.up[j] & ~u:
+                    raise PosetError("order not transitive through %r"
+                                     % (self.labels[j],))
+                above |= self.up[j] & ~(1 << j)
+            for j in _bits(u):
+                down[j] |= 1 << i
+            hasse.extend((i, j) for j in _bits(strict & ~above))
+        self.down = tuple(down)
+        self.hasse = tuple(hasse)
         if self.rank is not None:
             for a, b in self.hasse:
                 if self.rank[b] != self.rank[a] + 1:
@@ -41,13 +74,7 @@ class LabeledPoset:
 
     def leq(self, a, b):
         """Compare by label."""
-        return self._index[b] in self.up[self._index[a]]
-
-    def leq_idx(self, i, j):
-        return j in self.up[i]
-
-    def down_idx(self, j):
-        return frozenset(i for i in range(len(self.labels)) if j in self.up[i])
+        return bool(self.up[self._index[a]] >> self._index[b] & 1)
 
     def rank_profile(self):
         if self.rank is None:
@@ -58,86 +85,38 @@ class LabeledPoset:
             prof[self.rank[i]] += 1
         return tuple(prof)
 
-    def relabel(self, mapping):
-        """New poset with labels passed through `mapping` (callable or dict)."""
-        get = mapping.get if isinstance(mapping, dict) else None
-        if get is not None:
-            new = [get(l, l) for l in self.labels]
-        else:
-            new = [mapping(l) for l in self.labels]
-        return LabeledPoset(new, self.up, self.hasse, self.rank)
-
 
 def build(elements, relations, rank=None):
-    """Poset from labels and generating relations (pairs of labels, a <= b).
-
-    Computes the reflexive-transitive closure, rejects cycles, and derives
-    Hasse edges by transitive reduction.
-    """
+    """Poset from labels and generating relations (pairs of labels, a <= b):
+    their reflexive-transitive closure, by Warshall's algorithm on bitsets.
+    LabeledPoset rejects cycles and derives the Hasse edges."""
     labels = list(elements)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != len(labels):
         raise PosetError("duplicate labels")
-    n = len(labels)
-    adj = [set() for _ in range(n)]
+    up = [1 << i for i in range(len(labels))]
     for a, b in relations:
-        adj[index[a]].add(index[b])
-    # Floyd-Warshall style closure is fine at these sizes (n < 100)
-    up = [set(a) | {i} for i, a in enumerate(adj)]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            extra = set()
-            for j in up[i]:
-                extra |= up[j]
-            if not extra <= up[i]:
-                up[i] |= extra
-                changed = True
-    for i in range(n):
-        for j in up[i]:
-            if i != j and i in up[j]:
-                raise PosetError("cycle through %r and %r" % (labels[i], labels[j]))
-    return _from_up(labels, [frozenset(u) for u in up], rank)
-
-
-def _from_up(labels, up, rank=None):
-    n = len(labels)
-    hasse = []
-    for i in range(n):
-        for j in up[i]:
-            if j == i:
-                continue
-            # j covers i iff nothing sits strictly between
-            if not any(k != i and k != j and k in up[i] and j in up[k]
-                       for k in range(n)):
-                hasse.append((i, j))
-    hasse.sort()
-    return LabeledPoset(labels, up, hasse, rank)
+        up[index[a]] |= 1 << index[b]
+    for k in range(len(up)):
+        bit = 1 << k
+        for i, u in enumerate(up):
+            if u & bit:
+                up[i] = u | up[k]
+    return LabeledPoset(labels, up, rank)
 
 
 def product(P, Q):
-    """Componentwise order on pairs; labels formatted '(p,q)'."""
-    labels = []
-    pairs = []
-    for i, lp in enumerate(P.labels):
-        for j, lq in enumerate(Q.labels):
-            labels.append("(%s,%s)" % (lp, lq))
-            pairs.append((i, j))
-    n = len(labels)
-    up = []
-    for a in range(n):
-        i, j = pairs[a]
-        members = set()
-        for b in range(n):
-            k, l = pairs[b]
-            if P.leq_idx(i, k) and Q.leq_idx(j, l):
-                members.add(b)
-        up.append(frozenset(members))
+    """Componentwise order on pairs; labels formatted '(p,q)'.  The pair
+    (i, j) sits at position i*len(Q) + j."""
+    m = len(Q)
+    labels = ["(%s,%s)" % (lp, lq) for lp in P.labels for lq in Q.labels]
+    up = [sum(uq << k * m for k in _bits(up_p))
+          for up_p in P.up for uq in Q.up]
     rank = None
     if P.rank is not None and Q.rank is not None:
-        rank = {a: P.rank[pairs[a][0]] + Q.rank[pairs[a][1]] for a in range(n)}
-    return _from_up(labels, up, rank)
+        rank = {i * m + j: P.rank[i] + Q.rank[j]
+                for i in range(len(P)) for j in range(m)}
+    return LabeledPoset(labels, up, rank)
 
 
 def disjoint_union(P, Q):
@@ -145,22 +124,19 @@ def disjoint_union(P, Q):
     deterministic ' (2)' suffix."""
     labels = list(P.labels)
     taken = set(labels)
-    qlabels = []
     for l in Q.labels:
-        nl = l
-        while nl in taken:
-            nl = nl + " (2)"
-        taken.add(nl)
-        qlabels.append(nl)
-    off = len(P.labels)
-    up = [frozenset(u) for u in P.up]
-    up += [frozenset(off + j for j in u) for u in Q.up]
+        while l in taken:
+            l = l + " (2)"
+        taken.add(l)
+        labels.append(l)
+    off = len(P)
+    up = list(P.up) + [u << off for u in Q.up]
     rank = None
     if P.rank is not None and Q.rank is not None:
         rank = dict(P.rank)
         for j, r in Q.rank.items():
             rank[off + j] = r
-    return _from_up(labels + qlabels, up, rank)
+    return LabeledPoset(labels, up, rank)
 
 
 def two_chain():
@@ -175,14 +151,14 @@ def induced(P, labels):
     """Subposet on the given labels with the restricted order (no rank)."""
     keep = sorted({P.index(l) for l in labels})
     pos = {i: k for k, i in enumerate(keep)}
-    up = [frozenset(pos[j] for j in P.up[i] if j in pos) for i in keep]
-    return _from_up([P.labels[i] for i in keep], up)
+    up = [sum(1 << pos[j] for j in _bits(P.up[i]) if j in pos) for i in keep]
+    return LabeledPoset([P.labels[i] for i in keep], up)
 
 
 def is_upper_set(P, labels):
     """True iff the labeled subset is closed under going up."""
-    idx = {P.index(l) for l in labels}
-    return all(j in idx for i in idx for j in P.up[i])
+    mask = sum(1 << i for i in {P.index(l) for l in labels})
+    return not any(P.up[i] & ~mask for i in _bits(mask))
 
 
 class PosetMap:
@@ -200,50 +176,47 @@ class PosetMap:
             raise PosetError("map not total; missing %r" % (sorted(missing)[:3],))
         for v in self.assignment.values():
             target.index(v)  # raises on unknown target label
-        self.order_preserving = all(
-            target.leq(self.assignment[source.labels[i]],
-                       self.assignment[source.labels[j]])
-            for i in range(len(source)) for j in source.up[i]
-        )
+        self.order_preserving = _preserves(
+            source, target, [self.assignment[l] for l in source.labels])
         image = set(self.assignment.values())
         self.injective = len(image) == len(source)
         self.surjective = len(image) == len(target)
         iso = self.injective and self.surjective and self.order_preserving
         if iso:
             inv = {v: k for k, v in self.assignment.items()}
-            iso = all(
-                source.leq(inv[target.labels[i]], inv[target.labels[j]])
-                for i in range(len(target)) for j in target.up[i]
-            )
+            iso = _preserves(target, source, [inv[l] for l in target.labels])
         self.is_isomorphism = iso
 
     def __call__(self, label):
         return self.assignment[label]
 
-    def compose(self, other):
-        """self after other (other first)."""
-        return PosetMap(other.source, self.target,
-                        {k: self.assignment[v] for k, v in other.assignment.items()})
 
-    def inverse(self):
-        if not (self.injective and self.surjective):
-            raise PosetError("map is not bijective")
-        return PosetMap(self.target, self.source,
-                        {v: k for k, v in self.assignment.items()})
+def _preserves(P, Q, images):
+    """True iff i <= j in P implies images[i] <= images[j] in Q (labels)."""
+    f = [Q.index(l) for l in images]
+    return all(Q.up[f[i]] >> f[j] & 1
+               for i, u in enumerate(P.up) for j in _bits(u))
 
 
-def _signature(P, i, block_of):
-    down = P.down_idx(i)
-    up = P.up[i]
-    covers_up = sum(1 for (a, b) in P.hasse if a == i)
-    covers_dn = sum(1 for (a, b) in P.hasse if b == i)
-    return (block_of.get(i, -1), len(down), len(up), covers_dn, covers_up)
+def _signatures(P, block_of):
+    covers_up, covers_dn = [0] * len(P), [0] * len(P)
+    for a, b in P.hasse:
+        covers_up[a] += 1
+        covers_dn[b] += 1
+    return [(block_of.get(i, -1), P.down[i].bit_count(), P.up[i].bit_count(),
+             covers_dn[i], covers_up[i]) for i in range(len(P))]
 
 
 def find_isomorphism(P, Q, constraints=()):
     """Isomorphism P -> Q mapping each constraint block onto its partner block,
     or None.  Deterministic: elements assigned in a fixed order, candidates
-    tried in label-lexicographic order."""
+    tried in label-lexicographic order.
+
+    Each unassigned element keeps a bitset of the targets still open to it:
+    its signature class, minus the used targets, narrowed on each assignment
+    i -> j to those related to j as the element is related to i.  A branch
+    ends as soon as some element has no target left.
+    """
     n = len(P)
     if n != len(Q):
         return None
@@ -259,42 +232,41 @@ def find_isomorphism(P, Q, constraints=()):
         for j in qs_idx:
             if qblock.setdefault(j, b) != b:
                 raise PosetError("constraint blocks overlap in target")
-    psig = {i: _signature(P, i, pblock) for i in range(n)}
-    qsig = {j: _signature(Q, j, qblock) for j in range(n)}
-    from collections import Counter
-    if Counter(psig.values()) != Counter(qsig.values()):
+    psig = _signatures(P, pblock)
+    qsig = _signatures(Q, qblock)
+    if Counter(psig) != Counter(qsig):
         return None
     # assign elements ordered by candidate-set scarcity proxy: |down| then label
     order = sorted(range(n), key=lambda i: (psig[i][1], P.labels[i]))
-    cands = {i: sorted((j for j in range(n) if qsig[j] == psig[i]),
-                       key=lambda j: Q.labels[j]) for i in range(n)}
+    cands = [sorted((j for j in range(n) if qsig[j] == psig[i]),
+                    key=lambda j: Q.labels[j]) for i in range(n)]
+    # targets strictly above, strictly below and incomparable to each j
+    rel = [(u & ~d, d & ~u, ~(u | d)) for u, d in zip(Q.up, Q.down)]
     assign = {}
-    used = set()
 
-    def ok(i, j):
-        for i2, j2 in assign.items():
-            if P.leq_idx(i, i2) != Q.leq_idx(j, j2):
-                return False
-            if P.leq_idx(i2, i) != Q.leq_idx(j2, j):
-                return False
-        return True
-
-    def rec(pos):
+    def rec(pos, live):
         if pos == n:
             return True
-        i = order[pos]
+        i, later = order[pos], order[pos + 1:]
+        up_i, down_i = P.up[i], P.down[i]
         for j in cands[i]:
-            if j in used or not ok(i, j):
+            if not live[i] >> j & 1:
                 continue
-            assign[i] = j
-            used.add(j)
-            if rec(pos + 1):
-                return True
-            del assign[i]
-            used.discard(j)
+            above, below, apart = rel[j]
+            nxt = list(live)
+            for i2 in later:
+                nxt[i2] &= (above if up_i >> i2 & 1 else
+                            below if down_i >> i2 & 1 else apart)
+                if not nxt[i2]:
+                    break
+            else:
+                assign[i] = j
+                if rec(pos + 1, nxt):
+                    return True
+                del assign[i]
         return False
 
-    if not rec(0):
+    if not rec(0, [sum(1 << j for j in c) for c in cands]):
         return None
     return PosetMap(P, Q, {P.labels[i]: Q.labels[j] for i, j in assign.items()})
 
@@ -377,14 +349,10 @@ def pushout_square(m, wbar, a):
 
     square = all(top(nu2(l)) == incl(nu1(l)) for l in A.labels)
     tinv = {v: k for k, v in t.items()}
-    restr_ok = True
-    for u in Pwa.labels:
-        for v in Pwa.labels:
-            if u == v or not Pwa.leq(u, v):
-                continue
-            if cx.right_descent(by_label[u], a) == cx.right_descent(by_label[v], a):
-                if not B.leq(tinv[u], tinv[v]):
-                    restr_ok = False
+    desc = [cx.right_descent(by_label[u], a) for u in Pwa.labels]
+    restr_ok = all(B.leq(tinv[Pwa.labels[i]], tinv[Pwa.labels[j]])
+                   for i, u in enumerate(Pwa.up)
+                   for j in _bits(u & ~(1 << i)) if desc[i] == desc[j])
     checks = {
         "nu1_bijective_op": nu1.injective and nu1.surjective and nu1.order_preserving,
         "nu2_injective_op": nu2.injective and nu2.order_preserving,

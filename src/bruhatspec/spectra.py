@@ -24,6 +24,11 @@ class SpectraError(ValueError):
     pass
 
 
+class SpectraInputError(SpectraError):
+    """A pipeline names something that does not exist: bad input, not a
+    failed check."""
+
+
 @dataclass(frozen=True)
 class Monomial:
     factors: tuple
@@ -189,7 +194,7 @@ def _ranked(Ptilde, nablat):
     src = nablat.source
     rank = {Ptilde.index(nablat(l)): src.rank[i]
             for i, l in enumerate(src.labels)}
-    return ps.LabeledPoset(Ptilde.labels, Ptilde.up, Ptilde.hasse, rank)
+    return ps.LabeledPoset(Ptilde.labels, Ptilde.up, rank)
 
 
 def _rewrite_gens(gens, rw):
@@ -219,8 +224,10 @@ def run_pipeline(spec):
                                               expans, st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
-            raise SpectraError("pipeline %r, step %d (%s): %s"
-                               % (spec.name, idx + 1, st.var, e)) from e
+            err = SpectraInputError if isinstance(e, SpectraInputError) \
+                else SpectraError
+            raise err("pipeline %r, step %d (%s): %s"
+                      % (spec.name, idx + 1, st.var, e)) from e
         reports.append({"step": idx + 1, "var": st.var, **rep})
     exp = spec.expect
     if "size" in exp and len(P) != exp["size"]:
@@ -251,6 +258,11 @@ def _step(cox, word, P, gens, nabla, expans, st):
     The extended map must be an isomorphism, and after a step with a letter
     the contraction square must commute.
     """
+    unknown = sorted((set(st.partner) | set(st.partner.values()))
+                     - set(P.labels))
+    if unknown:
+        raise SpectraInputError("partner override names unknown prime %r"
+                                % unknown[0])
     a = st.gen
     kind = "none" if a is None else st.side
     part = phi_elems = None

@@ -66,6 +66,8 @@ def test_interval_rejects_non_reduced():
         br.interval(A2, (1, 2, 1, 2))
     with pytest.raises(br.BruhatError, match="input word is not reduced"):
         br.partition(A3, (1, 1), 2)
+    with pytest.raises(br.BruhatError, match="input word is not reduced"):
+        br.is_decomposable(A2, (1, 1))
 
 
 @pytest.mark.parametrize("m, word, of_word", [

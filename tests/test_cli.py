@@ -100,6 +100,10 @@ def test_pipeline_verification_failure(tmp_path, capsys):
      "a monomial is a list of strings or a {unit, factors} object"),
     ({"var": "x1", "gen": 1, "rewrite": {"x1": 5}},
      "rewrite must map strings to strings"),
+    ({"var": "x1", "gen": 1, "partner": {"x1": "nope"}},
+     "partner override names unknown prime"),
+    ({"var": "x1", "gen": 1, "partner": {"0": "nope"}},
+     "partner override names unknown prime 'nope'"),
 ])
 def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
                                                 message):

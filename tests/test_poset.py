@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
@@ -160,6 +160,20 @@ def test_export_dot():
         ps.export(ps.two_chain(), "xml")
 
 
+def test_labeled_poset_rejects_non_order():
+    with pytest.raises(ps.PosetError, match="not <= itself"):
+        ps.LabeledPoset("ab", [0b01, 0b00])
+    with pytest.raises(ps.PosetError, match="cycle"):
+        ps.LabeledPoset("ab", [0b11, 0b11])
+    with pytest.raises(ps.PosetError, match="not transitive"):
+        ps.LabeledPoset("abc", [0b011, 0b110, 0b100])
+    with pytest.raises(ps.PosetError, match="do not match"):
+        ps.LabeledPoset("a", [0b11])
+    chain = ps.LabeledPoset("abc", [0b111, 0b110, 0b100])
+    assert chain.hasse == ((0, 1), (1, 2))
+    assert chain.down == (0b001, 0b011, 0b111)
+
+
 def test_rank_validation():
     with pytest.raises(ps.PosetError):
         ps.build(["a", "b"], [("a", "b")], rank={0: 0, 1: 2})
@@ -188,7 +202,55 @@ def test_closure_reduction_roundtrip(data):
     assert Q.up == P.up and Q.hasse == P.hasse
 
 
+def _upper(data):
+    labels, rels = data
+    return [l.upper() for l in labels], [(a.upper(), b.upper())
+                                         for a, b in rels]
+
+
+def _brute_covers(R):
+    leq = [[R.leq(x, y) for y in R.labels] for x in R.labels]
+    n = len(R)
+    return tuple((i, j) for i in range(n) for j in range(n)
+                 if i != j and leq[i][j]
+                 and not any(leq[i][k] and leq[k][j]
+                             for k in range(n) if k not in (i, j)))
+
+
+@given(small_relations(), small_relations(), st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_union_induced_match_definitions(d1, d2, data):
+    P = ps.build(*d1)
+    Q = ps.build(*_upper(d2))
+    prod = ps.product(P, Q)
+    for p1 in P.labels:
+        for q1 in Q.labels:
+            for p2 in P.labels:
+                for q2 in Q.labels:
+                    assert prod.leq("(%s,%s)" % (p1, q1), "(%s,%s)" % (p2, q2)) \
+                        == (P.leq(p1, p2) and Q.leq(q1, q2))
+    union = ps.disjoint_union(P, Q)
+    assert union.labels == P.labels + Q.labels
+    for x in union.labels:
+        for y in union.labels:
+            same = P if x in P.labels and y in P.labels else \
+                Q if x in Q.labels and y in Q.labels else None
+            assert union.leq(x, y) == (same is not None and same.leq(x, y))
+    keep = data.draw(st.lists(st.sampled_from(P.labels), unique=True))
+    sub = ps.induced(P, keep)
+    assert sorted(sub.labels) == sorted(keep)
+    for x in keep:
+        for y in keep:
+            assert sub.leq(x, y) == P.leq(x, y)
+    for R in (prod, union, sub):
+        assert R.hasse == _brute_covers(R)
+        assert all((R.down[j] >> i & 1) == (R.up[i] >> j & 1)
+                   for i in range(len(R)) for j in range(len(R)))
+
+
 @given(small_relations(), small_relations())
+@example((list("abcdef"), []),
+         (list("abcd"), [("a", "c"), ("b", "c"), ("c", "d")]))
 @settings(max_examples=30, deadline=None)
 def test_product_commutes_up_to_iso(d1, d2):
     P = ps.build(*d1)
