@@ -1,7 +1,7 @@
 """Bruhat order: comparison via the lifting property, lower intervals [1, w]
 built one letter at a time together with their order, the W1-W4 partition
-of [1, wbar*a], the projection Phi, decomposability, and an exhaustive
-lifting-property checker."""
+of [1, wbar*a] (or [1, a*wbar]) with its projection Phi, decomposability,
+and an exhaustive lifting-property checker."""
 
 from itertools import combinations
 
@@ -115,51 +115,67 @@ def interval(m, word):
 
 
 class BruhatPartition:
-    __slots__ = ("cox", "wbar", "a", "W1", "W2", "W3", "W4",
+    """The blocks W1-W4 of [1, wbar*a] (side "right") or [1, a*wbar] (side
+    "left"), and Phi as a dict: w -> wa (resp. aw) on W1|W4, w on W2|W3."""
+
+    __slots__ = ("cox", "wbar", "a", "side", "W1", "W2", "W3", "W4", "phi",
                  "interval_wbar", "interval_wbara")
 
-    def __init__(self, cox, wbar, a, W1, W2, W3, W4, iv, iva):
+    def __init__(self, cox, wbar, a, side, W1, W2, W3, W4, phi, iv, iva):
         self.cox = cox
         self.wbar = wbar
         self.a = a
+        self.side = side
         self.W1, self.W2, self.W3, self.W4 = W1, W2, W3, W4
+        self.phi = phi
         self.interval_wbar = iv
         self.interval_wbara = iva
 
 
-def partition(m, wbar_word, a):
-    """The four blocks of [1, wbar*a] for a right multiplier a.
+_DESCENT = {"right": cx.right_descent, "left": cx.left_descent}
+
+
+def partition(m, wbar_word, a, side="right"):
+    """The four blocks of [1, wbar*a] for a right multiplier a, or with
+    side="left" of [1, a*wbar], by left products and left descents.
 
     Requires wbar < wbar*a (the standing hypothesis wbar in W_a'); the stated
     block identities and upper-set facts are verified before returning.
     """
+    if side not in _DESCENT:
+        raise BruhatError('side must be "left" or "right", got %r' % (side,))
+    descent = _DESCENT[side]
     iv = interval(m, wbar_word)
     wbar = iv.base
-    if cx.right_descent(wbar, a):
-        raise BruhatError("wbar*a < wbar: wbar must not have a as right descent")
-    iva = interval(m, tuple(wbar_word) + (a,))
-    W1, W2, W3, W4 = set(), set(), set(), set()
+    if descent(wbar, a):
+        raise BruhatError("wbar*a < wbar: wbar must not have a as %s descent"
+                          % side)
+    letters = tuple(wbar_word)
+    iva = interval(m, letters + (a,) if side == "right" else (a,) + letters)
+    W1, W2, W3, W4, phi = set(), set(), set(), set(), {}
     for w in iva.elements:
+        down = descent(w, a)
+        phi[w] = w.times_gen(a, side) if down else w
         if w not in iv.index:
             W4.add(w)
-        elif cx.right_descent(w, a):
+        elif down:
             W1.add(w)
-        elif w.times_gen(a) in iv.index:
+        elif w.times_gen(a, side) in iv.index:
             W2.add(w)
         else:
             W3.add(w)
-    part = BruhatPartition(m, wbar, a, frozenset(W1), frozenset(W2),
-                           frozenset(W3), frozenset(W4), iv, iva)
+    part = BruhatPartition(m, wbar, a, side, frozenset(W1), frozenset(W2),
+                           frozenset(W3), frozenset(W4), phi, iv, iva)
     _check_partition(part)
     return part
 
 
 def _check_partition(part):
-    a = part.a
+    a, phi, descent = part.a, part.phi, _DESCENT[part.side]
     iv, iva = part.interval_wbar, part.interval_wbara
-    if {w.times_gen(a) for w in part.W1} != part.W2:
+    if {phi[w] for w in part.W1} != part.W2:
         raise BruhatError("W2 != m_a(W1)")
-    if {w.times_gen(a) for w in part.W4} != part.W3:
+    if {phi[w] for w in part.W4} != part.W3:
         raise BruhatError("W3 != m_a(W4)")
     old = part.W1 | part.W2 | part.W3
     if old != set(iv.elements):
@@ -175,17 +191,8 @@ def _check_partition(part):
                 name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))
     w14 = part.W1 | part.W4
     for w in iva.elements:
-        if (w in w14) != cx.right_descent(w, a):
+        if (w in w14) != descent(w, a):
             raise BruhatError("W1|W4 != [1,wbar*a] cap W_a")
-
-
-def phi(iva, a):
-    """Phi(w) = w if a is not a right descent of w, else wa; maps [1, wbar*a]
-    onto W2 | W3 two-to-one, order preserving, idempotent."""
-    out = {}
-    for w in iva.elements:
-        out[w] = w.times_gen(a) if cx.right_descent(w, a) else w
-    return out
 
 
 def is_decomposable(m, word):

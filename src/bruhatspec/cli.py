@@ -42,8 +42,11 @@ class UsageError(Exception):
 
 def _emit(text, path):
     if path:
-        with open(path, "w") as f:
-            f.write(text)
+        try:
+            with open(path, "w") as f:
+                f.write(text)
+        except OSError as e:
+            raise UsageError("cannot write %r: %s" % (path, e)) from e
     else:
         sys.stdout.write(text)
 

@@ -2,16 +2,17 @@
 
 Given a poset P of "primes" split into blocks P1/P2/P3 by a declared skew
 derivation, ore_step builds the next poset Ptilde (old copy of P plus new
-x-primes over P3) together with the projection PhiTilde.  extend_iso then
-extends an isomorphism nabla: [1,wbar] -> P across a Bruhat partition to
-nablatilde: [1,wbar*a] -> Ptilde, and commuting_square verifies the
-contraction diagram PsiTilde . nablatilde = nabla . Phi.
+x-primes over P3), reading its order and ranks off P's bitsets, together
+with the projection PhiTilde.  extend_iso then extends an isomorphism
+nabla: [1,wbar] -> P across a Bruhat partition (bruhat.partition, right or
+left) to nablatilde: [1,wbar*a] -> Ptilde, and commuting_square verifies
+the contraction diagram PsiTilde . nablatilde = nabla . Phi, with Phi the
+partition's.  Right and left steps take the same path.
 """
 
 from dataclasses import dataclass
 
 from . import bruhat as br
-from . import coxeter as cx
 from . import poset as ps
 
 
@@ -120,33 +121,33 @@ def ore_step(sp, new_label, relabel=None):
     """One Ore-extension step at the poset level.
 
     Ptilde = (copy of P, labels passed through `relabel`) together with a new
-    prime for each P3 element (label from `new_label`).  Cross relations:
-    old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3 and
-    partner() on P1; no new <= old relations.  Returns the SetupData.
+    prime q_x for each q in P3 (label from `new_label`), its up-sets read off
+    P's: old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3
+    and partner() on P1; q_x <= q'_x iff q <= q'; no new <= old relations.
+    A ranked P gives q_x rank(q) + 1.  LabeledPoset rejects a result that is
+    not an order; validate_setup checks the rest.  Returns the SetupData.
     """
     sp.validate()
+    P = sp.P
     relabel = relabel or {}
     if callable(new_label):
         new_label = {q: new_label(q) for q in sp.P3}
-    old = {l: relabel.get(l, l) for l in sp.P.labels}
-    new = {q: new_label[q] for q in sorted(sp.P3)}
-    pi = {l: sp.partner.get(l, l) for l in sp.P.labels}
-    labels = [old[l] for l in sp.P.labels] + [new[q] for q in sorted(sp.P3)]
-    rels = []
-    for p in sp.P.labels:
-        for q in sp.P.labels:
-            if p != q and sp.P.leq(p, q):
-                rels.append((old[p], old[q]))
-        for q in sorted(sp.P3):
-            if sp.P.leq(pi[p], q):
-                rels.append((old[p], new[q]))
-    for p in sorted(sp.P3):
-        for q in sorted(sp.P3):
-            if p != q and sp.P.leq(p, q):
-                rels.append((new[p], new[q]))
-    Ptilde = ps.build(labels, rels)
-    phi = {old[l]: old[pi[l]] for l in sp.P.labels}
-    phi.update({new[q]: old[q] for q in sp.P3})
+    old = {l: relabel.get(l, l) for l in P.labels}
+    p3 = sorted(sp.P3)
+    new = {q: new_label[q] for q in p3}
+    n = len(P)
+    # bit n+k of Ptilde is p3[k]'s new prime; lift(u) is the new primes
+    # over the P3 members of the bitset u
+    x_bit = {P.index(q): 1 << (n + k) for k, q in enumerate(p3)}
+    lift = lambda u: sum(x_bit.get(i, 0) for i in ps._bits(u))
+    up = [u | lift(P.up[P.index(sp.partner.get(l, l))])
+          for l, u in zip(P.labels, P.up)] + [lift(P.up[i]) for i in x_bit]
+    rank = None if P.rank is None else {
+        **P.rank, **{n + k: P.rank[i] + 1 for k, i in enumerate(x_bit)}}
+    Ptilde = ps.LabeledPoset([old[l] for l in P.labels] + [new[q] for q in p3],
+                             up, rank)
+    phi = {old[l]: old[sp.partner.get(l, l)] for l in P.labels}
+    phi.update({new[q]: old[q] for q in p3})
     setup = SetupData(Ptilde=Ptilde,
                       P=frozenset(old.values()),
                       Px=frozenset(new.values()),
@@ -158,15 +159,16 @@ def ore_step(sp, new_label, relabel=None):
 
 
 def extend_iso(nabla, part, s):
-    """Extend nabla: [1,wbar] -> P across the partition to [1,wbar*a] -> Ptilde.
+    """Extend nabla: [1,wbar] -> P across the partition of [1,wbar*a] (or
+    [1,a*wbar]) to nablatilde: [1,wbar*a] -> Ptilde.
 
     Hypotheses checked: (a) nabla(W3) = PhiTilde(Px); (b) PhiTilde.nabla =
     nabla.Phi on W1|W2.  New words w in W4 go to the unique x-prime over
-    nabla(wa).
+    nabla(Phi(w)).
     """
     if not nabla.is_isomorphism:
         raise ExtensionError("nabla is not an isomorphism")
-    a = part.a
+    phi = part.phi
     wl = br.word_label
     nab = lambda w: s.iota[nabla(wl(w))]
     img_w3 = {nab(w) for w in part.W3}
@@ -176,16 +178,15 @@ def extend_iso(nabla, part, s):
             "hypothesis (a) fails: nabla(W3) = %r but PhiTilde(Px) = %r"
             % (sorted(img_w3), sorted(img_px)))
     for w in sorted(part.W1 | part.W2, key=lambda x: (x.length, x.word)):
-        pw = w.times_gen(a) if cx.right_descent(w, a) else w
-        if s.phi[nab(w)] != nab(pw):
+        if s.phi[nab(w)] != nab(phi[w]):
             raise ExtensionError(
                 "hypothesis (b) fails at %s: PhiTilde(nabla(w))=%s, nabla(Phi(w))=%s"
-                % (wl(w), s.phi[nab(w)], nab(pw)))
+                % (wl(w), s.phi[nab(w)], nab(phi[w])))
     inv_px = {s.phi[p]: p for p in s.Px}
     assign = {}
     for w in part.interval_wbara.elements:
         if w in part.W4:
-            assign[wl(w)] = inv_px[nab(w.times_gen(a))]
+            assign[wl(w)] = inv_px[nab(phi[w])]
         else:
             assign[wl(w)] = nab(w)
     nablat = ps.PosetMap(part.interval_wbara.to_poset(), s.Ptilde, assign)
@@ -194,22 +195,19 @@ def extend_iso(nabla, part, s):
     return nablat
 
 
-def commuting_square(nabla, nablat, part, s, phi_elems=None):
+def commuting_square(nabla, nablat, part, s):
     """Verify PsiTilde . nablatilde = nabla . Phi elementwise, that PsiTilde
     is at most 2-1, and that the fibers containing an x-prime sit exactly
     over P3, each of size exactly 2.
 
     PsiTilde is PhiTilde read back through iota into the previous poset's
-    labels.  phi_elems may override the Bruhat-side projection (used by
-    left-multiplication steps); default is Phi for the partition's generator.
+    labels; Phi is the partition's.
     """
     wl = br.word_label
-    if phi_elems is None:
-        phi_elems = {wl(w): wl(v)
-                     for w, v in br.phi(part.interval_wbara, part.a).items()}
     inv_iota = {v: k for k, v in s.iota.items()}
     psi = {t: inv_iota[s.phi[t]] for t in s.Ptilde.labels}
-    square = all(psi[nablat(l)] == nabla(phi_elems[l]) for l in phi_elems)
+    square = all(psi[nablat(wl(w))] == nabla(wl(v))
+                 for w, v in part.phi.items())
     fibers = {}
     for t in s.Ptilde.labels:
         fibers.setdefault(psi[t], set()).add(t)

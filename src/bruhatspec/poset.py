@@ -215,7 +215,8 @@ def find_isomorphism(P, Q, constraints=()):
     Each unassigned element keeps a bitset of the targets still open to it:
     its signature class, minus the used targets, narrowed on each assignment
     i -> j to those related to j as the element is related to i.  A branch
-    ends as soon as some element has no target left.
+    ends as soon as some element has no target left.  The search keeps its
+    own stack, so its depth is not limited by Python's recursion limit.
     """
     n = len(P)
     if n != len(Q):
@@ -242,31 +243,33 @@ def find_isomorphism(P, Q, constraints=()):
                     key=lambda j: Q.labels[j]) for i in range(n)]
     # targets strictly above, strictly below and incomparable to each j
     rel = [(u & ~d, d & ~u, ~(u | d)) for u, d in zip(Q.up, Q.down)]
+    # depth-first over an explicit stack: stack[pos] holds the next
+    # candidate index for order[pos] and the live bitsets it is tried with
     assign = {}
-
-    def rec(pos, live):
-        if pos == n:
-            return True
-        i, later = order[pos], order[pos + 1:]
+    stack = [[0, [sum(1 << j for j in c) for c in cands]]]
+    while stack and len(stack) <= n:
+        pos = len(stack) - 1
+        frame, i = stack[pos], order[pos]
+        k, live = frame
+        if k == len(cands[i]):
+            stack.pop()
+            continue
+        frame[0] = k + 1
+        j = cands[i][k]
+        if not live[i] >> j & 1:
+            continue
+        above, below, apart = rel[j]
         up_i, down_i = P.up[i], P.down[i]
-        for j in cands[i]:
-            if not live[i] >> j & 1:
-                continue
-            above, below, apart = rel[j]
-            nxt = list(live)
-            for i2 in later:
-                nxt[i2] &= (above if up_i >> i2 & 1 else
-                            below if down_i >> i2 & 1 else apart)
-                if not nxt[i2]:
-                    break
-            else:
-                assign[i] = j
-                if rec(pos + 1, nxt):
-                    return True
-                del assign[i]
-        return False
-
-    if not rec(0, [sum(1 << j for j in c) for c in cands]):
+        nxt = list(live)
+        for i2 in order[pos + 1:]:
+            nxt[i2] &= (above if up_i >> i2 & 1 else
+                        below if down_i >> i2 & 1 else apart)
+            if not nxt[i2]:
+                break
+        else:
+            assign[i] = j
+            stack.append([0, nxt])
+    if not stack:
         return None
     return PosetMap(P, Q, {P.labels[i]: Q.labels[j] for i, j in assign.items()})
 

@@ -179,6 +179,21 @@ def _load_step(k, sd, cox):
                 dict(maps["partner"]))
 
 
+def _load_expect(expect):
+    """The expect block: at most a size (an integer) and a rank_profile (a
+    list of integers); null means no expectations."""
+    is_int = lambda x: isinstance(x, int) and not isinstance(x, bool)
+    expect = {} if expect is None else expect
+    prof = expect.get("rank_profile", []) if isinstance(expect, dict) else 0
+    if not isinstance(expect, dict) or set(expect) - {"size", "rank_profile"} \
+            or not is_int(expect.get("size", 0)) \
+            or not isinstance(prof, list) or not all(map(is_int, prof)):
+        raise SpectraError("expect must be an object with at most an integer "
+                           "size and a list of integers rank_profile, got %r"
+                           % (expect,))
+    return dict(expect)
+
+
 def load_pipeline(d, name=None):
     cm = d["coxeter"]
     cox = cx.matrix_by_name(cm) if isinstance(cm, str) \
@@ -186,15 +201,7 @@ def load_pipeline(d, name=None):
     steps = [_load_step(k, sd, cox) for k, sd in enumerate(d["steps"], 1)]
     return PipelineSpec(name=name or d.get("name", "pipeline"),
                         cox=cox, steps=steps,
-                        expect=dict(d.get("expect") or {}))
-
-
-def _ranked(Ptilde, nablat):
-    """Ptilde with the ranks (lengths) of [1,w] carried over by nablat."""
-    src = nablat.source
-    rank = {Ptilde.index(nablat(l)): src.rank[i]
-            for i, l in enumerate(src.labels)}
-    return ps.LabeledPoset(Ptilde.labels, Ptilde.up, rank)
+                        expect=_load_expect(d.get("expect")))
 
 
 def _rewrite_gens(gens, rw):
@@ -245,18 +252,13 @@ def _step(cox, word, P, gens, nabla, expans, st):
     """One Ore step: from nabla: [1,wbar] -> P to the next word, poset,
     generator sets and isomorphism.  Returns (word, P, gens, nabla, report).
 
-    Classification, the new labels and ore_step are shared by every step;
-    only the extended map depends on the kind of step:
-
-    - right: nabla is re-found on its own source, the previous step's
-      [1,wbar], as a block-respecting isomorphism (W1,W2,W3 -> P1,P2,P3)
-      and extended by extend_iso, which checks hypotheses (a) and (b);
-    - left: w in [1, a*wbar] goes to the new prime over nabla(s_a w) if a
-      is a left descent of w, else to iota(nabla(w));
-    - none (no Bruhat letter): iota . nabla, with P labels rewritten.
-
-    The extended map must be an isomorphism, and after a step with a letter
-    the contraction square must commute.
+    Every step classifies P and builds the ranked next poset by ore_step.  A
+    step with a letter a partitions [1, wbar*a] (right) or [1, a*wbar]
+    (left), extends nabla by extend_iso, which checks hypotheses (a) and
+    (b), and checks the contraction square.  A right step first re-finds
+    nabla on the previous [1,wbar] as a block-respecting isomorphism
+    (W1,W2,W3 -> P1,P2,P3); a left step needs a outside supp(wbar) and
+    delta = 0.  A step without a letter maps by iota . nabla.
     """
     unknown = sorted((set(st.partner) | set(st.partner.values()))
                      - set(P.labels))
@@ -265,7 +267,7 @@ def _step(cox, word, P, gens, nabla, expans, st):
                                 % unknown[0])
     a = st.gen
     kind = "none" if a is None else st.side
-    part = phi_elems = None
+    part = None
     wl = br.word_label
     if kind == "left":
         if a in word:
@@ -273,12 +275,12 @@ def _step(cox, word, P, gens, nabla, expans, st):
                                % a)
         if st.delta:
             raise SpectraError("left steps require delta = 0")
-    elif kind != "none":
-        part = br.partition(cox, word, a)
+    if kind != "none":
+        part = br.partition(cox, word, a, kind)
     sp = classify(P, gens, st.delta, expans, st.partner)
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
-    if part is not None:
+    if kind == "right":
         blocks = ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
         nabla = ps.find_isomorphism(
             nabla.source, P,
@@ -294,37 +296,22 @@ def _step(cox, word, P, gens, nabla, expans, st):
     newlab = {q: label_of(g) for q, g in grown.items()}
     setup = ext.ore_step(sp, newlab,
                          {p: label_of(g) for p, g in rewritten.items()})
-    if part is not None:
-        word = word + (a,)
-        nablat = ext.extend_iso(nabla, part, setup)
-    else:
-        if kind == "left":
-            word = (a,) + word
-            iva = br.interval(cox, word)
-            source, assign, phi_elems = iva.to_poset(), {}, {}
-            for w in iva.elements:
-                if cx.left_descent(w, a):
-                    wp = w.times_gen(a, side="left")
-                    assign[wl(w)] = newlab[nabla(wl(wp))]
-                    phi_elems[wl(w)] = wl(wp)
-                else:
-                    assign[wl(w)] = setup.iota[nabla(wl(w))]
-                    phi_elems[wl(w)] = wl(w)
-        else:
-            source = nabla.source
-            assign = {l: setup.iota[nabla(l)] for l in source.labels}
-        nablat = ps.PosetMap(source, setup.Ptilde, assign)
-        if not nablat.is_isomorphism:
-            raise SpectraError("%s-step extension is not an isomorphism"
-                               % kind)
     rep = {"kind": kind, "gen": a,
            "hypothesis_a": None, "hypothesis_b": None,
            "square_commutes": None, "at_most_2_1": None,
            "new_fibers_over_P3": None,
            "sizes": {"P": len(sp.P), "P1": len(sp.P1), "P2": len(sp.P2),
                      "P3": len(sp.P3), "new": len(setup.Ptilde)}}
-    if kind != "none":
-        sq = ext.commuting_square(nabla, nablat, part, setup, phi_elems)
+    if part is None:
+        nablat = ps.PosetMap(nabla.source, setup.Ptilde,
+                             {l: setup.iota[nabla(l)]
+                              for l in nabla.source.labels})
+        if not nablat.is_isomorphism:
+            raise SpectraError("none-step extension is not an isomorphism")
+    else:
+        word = word + (a,) if kind == "right" else (a,) + word
+        nablat = ext.extend_iso(nabla, part, setup)
+        sq = ext.commuting_square(nabla, nablat, part, setup)
         if not sq["ok"]:
             raise SpectraError("commuting square failed: %r" % (sq,))
         rep.update(hypothesis_a=True, hypothesis_b=True,
@@ -333,9 +320,7 @@ def _step(cox, word, P, gens, nabla, expans, st):
                    new_fibers_over_P3=sq["new_fibers_over_P3"])
     new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
     new_gens.update({newlab[q]: g for q, g in grown.items()})
-    newP = _ranked(setup.Ptilde, nablat)
-    return word, newP, new_gens, \
-        ps.PosetMap(nablat.source, newP, nablat.assignment), rep
+    return word, setup.Ptilde, new_gens, nablat, rep
 
 
 # ---------------------------------------------------------------------------

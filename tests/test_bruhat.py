@@ -135,9 +135,44 @@ def test_partition_precondition():
         br.partition(A2, (1,), 1)   # wbar*a < wbar
 
 
+@pytest.mark.parametrize("m,bound", [(A3, 5), (D4, 4), (AFF, 5)])
+def test_left_partition_inverts_right_partition(m, bound):
+    """Inversion is a Bruhat automorphism, so the left partition of [1, a*w]
+    is the right partition of [1, w^-1 * a] inverted, block by block."""
+    inv = lambda S: {x.inverse() for x in S}
+    count = 0
+    for w in cx.elements_up_to_length(m, bound):
+        for a in m.generators:
+            if cx.left_descent(w, a):
+                continue
+            left = br.partition(m, w.word, a, side="left")
+            right = br.partition(m, w.inverse().word, a)
+            assert left.interval_wbara.base == el(m, (a,) + w.word)
+            assert {x.times_gen(a, "left") for x in left.W1} == left.W2
+            assert {x.times_gen(a, "left") for x in left.W4} == left.W3
+            for k in ("W1", "W2", "W3", "W4"):
+                assert getattr(left, k) == inv(getattr(right, k)), (w, a, k)
+            assert left.phi == {x.inverse(): y.inverse()
+                                for x, y in right.phi.items()}
+            count += 1
+    assert count >= 30
+
+
+def test_left_partition_checks_its_laws():
+    part = br.partition(A3, (2, 1), 1, side="left")
+    assert part.W1 and part.W2      # 1 is in supp(wbar): all four blocks
+    part.W1, part.W2 = part.W2, part.W1
+    with pytest.raises(br.BruhatError, match="W2 != m_a\\(W1\\)"):
+        br._check_partition(part)
+    with pytest.raises(br.BruhatError, match="left descent"):
+        br.partition(A3, (1, 2), 1, side="left")
+    with pytest.raises(br.BruhatError, match="side must be"):
+        br.partition(A3, (1, 2), 3, side="up")
+
+
 def test_phi_properties():
     part = br.partition(A3, (2, 1, 3, 2), 1)
-    f = br.phi(part.interval_wbara, 1)
+    f = part.phi
     e = cx.identity_element(A3)
     assert f[e] == e
     assert f[el(A3, (1,))] == e
@@ -153,7 +188,7 @@ def test_phi_properties():
 
 def test_phi2_comparison_law():
     part = br.partition(A3, (2, 1, 3, 2), 1)
-    f = br.phi(part.interval_wbara, 1)
+    f = part.phi
     wa = [w for w in part.interval_wbara.elements if cx.right_descent(w, 1)]
     wap = [w for w in part.interval_wbara.elements
            if not cx.right_descent(w, 1)]

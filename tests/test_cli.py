@@ -115,6 +115,34 @@ def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
     assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("expect", [
+    {"size": "two"}, {"size": True}, {"rank_profile": 5},
+    {"rank_profile": [1, "1"]}, {"sise": 4}, [2],
+])
+def test_pipeline_malformed_expect_is_usage_error(tmp_path, capsys, expect):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"coxeter": "A2", "expect": expect,
+                                "steps": [{"var": "x1", "gen": 1}]}))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "expect must be an object" in err and repr(expect) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--matrix", "A2", "--word", "1,2", "--format", "json"],
+    ["export", "--matrix", "A2", "--word", "1,2", "--format", "dot"],
+    ["pipeline", "--builtin", "qaffine2", "--format", "json"],
+])
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "x.json"
+    code, _, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert "Traceback" not in err and not path.exists()
+
+
 def test_pipeline_unknown_builtin_is_usage_error(capsys):
     code, _, err = run(capsys, "pipeline", "--builtin", "nonsense")
     assert code == 2

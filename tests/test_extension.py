@@ -143,6 +143,49 @@ def test_extend_iso_hypothesis_a_failure():
         ext.extend_iso(nabla, part, bad_setup)
 
 
+def test_extend_iso_left_step():
+    # [1, 2*1] in A2 by left multiplication: W3 = [1, 1], W4 = 2*[1, 1]
+    part = br.partition(A2, (1,), 2, side="left")
+    P = chain2()
+    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
+                        {"e": "0", "1": "x1"})
+    nablat = ext.extend_iso(nabla, part, setup)
+    assert nablat.is_isomorphism
+    assert nablat("2") == "0,x2" and nablat("2.1") == "x1,x2"
+    assert ext.commuting_square(nabla, nablat, part, setup)["ok"]
+    bad = ext.SetupData(Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
+                        phi=dict(setup.phi), iota=setup.iota,
+                        source=setup.source)
+    bad.phi["x1,x2"] = "0"    # PhiTilde(Px) = {0} != nabla(W3)
+    with pytest.raises(ext.ExtensionError, match="hypothesis \\(a\\)"):
+        ext.extend_iso(nabla, part, bad)
+
+
+def test_ore_step_ranks_new_primes():
+    P = ps.build(["0", "x1"], [("0", "x1")], rank={0: 0, 1: 1})
+    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    T = setup.Ptilde
+    assert {T.labels[i]: r for i, r in T.rank.items()} == \
+        {"0": 0, "x1": 1, "0,x2": 1, "x1,x2": 2}
+    assert ext.ore_step(sp_all_p3(chain2()), lambda q: q + "+").Ptilde.rank \
+        is None
+
+
+def test_ore_step_rejects_non_transitive_order():
+    """p < p' and pi(p') = t <= q, but pi(p) = u is not below q: the cross
+    relations p' <= q_x without p <= q_x are not an order."""
+    P = ps.build(["z", "u", "t", "p", "p'", "q"],
+                 [("z", "u"), ("z", "t"), ("u", "p"), ("p", "p'"),
+                  ("t", "p'"), ("t", "q")])
+    sp = ext.SpectrumPartition(P, frozenset(["p", "p'"]),
+                               frozenset(["z", "u", "t"]), frozenset(["q"]),
+                               {"p": "u", "p'": "t"})
+    sp.validate()
+    with pytest.raises(ps.PosetError, match="order not transitive"):
+        ext.ore_step(sp, lambda q: q + "x")
+
+
 def test_extend_iso_delta0_step():
     # quantum affine step n=2: extend the 2-chain across s2
     part = br.partition(A2, (1,), 2)

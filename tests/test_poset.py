@@ -106,6 +106,32 @@ def test_find_isomorphism_constraints():
                                [(["0"], ["0"])]) is not None
 
 
+def test_find_isomorphism_deep_antichain():
+    # one search level per element: deeper than Python's recursion limit
+    n = 1100
+    P = ps.build(["a%04d" % i for i in range(n)], [])
+    Q = ps.build(["b%04d" % i for i in range(n)], [])
+    f = ps.find_isomorphism(P, Q)
+    assert f is not None and f.is_isomorphism
+    assert f("a0000") == "b0000" and f("a1099") == "b1099"
+
+
+def test_find_isomorphism_backtracks_several_levels():
+    """A point, a V (1, 2 < 3) and an N (4 < 6, 4 < 7, 5 < 7), relabeled so
+    that the first choices in label order must be undone more than one
+    level up; the first isomorphism found is pinned."""
+    rels = [(1, 3), (2, 3), (4, 6), (4, 7), (5, 7)]
+    perm = [5, 7, 6, 4, 0, 2, 3, 1]
+    P = ps.build(["p%d" % i for i in range(8)],
+                 [("p%d" % a, "p%d" % b) for a, b in rels])
+    Q = ps.build(["q%d" % perm[i] for i in range(8)],
+                 [("q%d" % perm[a], "q%d" % perm[b]) for a, b in rels])
+    f = ps.find_isomorphism(P, Q)
+    assert f.is_isomorphism
+    assert [f("p%d" % i) for i in range(8)] == \
+        ["q5", "q6", "q7", "q4", "q0", "q2", "q3", "q1"]
+
+
 def test_find_isomorphism_deterministic():
     P = br.interval(A3, (1, 3)).to_poset()
     f = ps.find_isomorphism(P, P)
