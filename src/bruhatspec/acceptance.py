@@ -163,7 +163,8 @@ def criterion_10():
 def criterion_11():
     count = 0
     for name, m, w, a in _sweep():
-        part = br.partition(m, w.word, a)   # validates internally; recheck:
+        # partition validates its laws internally; recheck them here
+        part = br.partition(m, br.interval(m, w.word), a)
         assert {x.times_gen(a) for x in part.W1} == set(part.W2)
         assert {x.times_gen(a) for x in part.W4} == set(part.W3)
         labels = lambda S: [br.word_label(x) for x in S]

@@ -1,7 +1,8 @@
 """Bruhat order: comparison via the lifting property, lower intervals [1, w]
-built one letter at a time together with their order, the W1-W4 partition
-of [1, wbar*a] (or [1, a*wbar]) with its projection Phi, decomposability,
-and an exhaustive lifting-property checker."""
+with their order, grown only by the letter step from [1, u] to [1, us] or
+[1, su], the W1-W4 partition of [1, wbar*a] (or [1, a*wbar]) grown from a
+given [1, wbar] by one letter step, with its projection Phi,
+decomposability, and an exhaustive lifting-property checker."""
 
 from itertools import combinations
 
@@ -78,40 +79,62 @@ def word_label(w):
     return ".".join(map(str, w.word)) or "e"
 
 
-def interval(m, word):
-    """[1, w] for a reduced word w, with its order (see BruhatInterval).
+_DESCENT = {"right": cx.right_descent, "left": cx.left_descent}
 
-    Built one letter s at a time: for u < us, [1, us] = [1, u] | [1, u]s
-    (Bjorner-Brenti 2.2.7).  With u the current base this gives the new
-    elements us; with each u whose us is new it gives that element's
-    down-set, down(u) | down(u)s.  Works in infinite groups.
-    """
+
+def interval(m, word):
+    """[1, w] for a reduced word w, with its order (see BruhatInterval):
+    the identity grown by one letter step per letter of the word."""
     word = m.check_word(word)
     base = cx.identity_element(m)
     elems, index, down = [base], {base: 0}, [1]
     for s in word:
-        if cx.right_descent(base, s):
-            raise BruhatError("input word is not reduced")
-        base = base.times_gen(s)
-        n = len(elems)
-        times_s = [None] * n    # times_s[i]: the position of elems[i]*s
-        for i in range(n):
-            if cx.right_descent(elems[i], s):
-                continue        # filled in from elems[i]*s, which is below
-            us = elems[i].times_gen(s)
-            j = times_s[i] = index.setdefault(us, len(elems))
-            if j == len(elems):
-                elems.append(us)
-            else:
-                times_s[j] = i
-        for i in range(n):
-            if times_s[i] >= n:     # a new element, over elems[i]
-                ds = down[i]
-                for k in range(n):
-                    if down[i] >> k & 1:
-                        ds |= 1 << times_s[k]
-                down.append(ds)
+        base = _letter_step(base, elems, index, down, s, "right")
     return BruhatInterval(m, base, tuple(elems), index, tuple(down))
+
+
+def grow(iv, s, side="right"):
+    """[1, u*s] (side "right") or [1, s*u] (side "left") from iv = [1, u],
+    by one letter step on copies of iv's containers.  The elements of iv
+    keep their positions; the new ones follow them."""
+    if side not in _DESCENT:
+        raise BruhatError('side must be "left" or "right", got %r' % (side,))
+    elems, index, down = list(iv.elements), dict(iv.index), list(iv.down)
+    base = _letter_step(iv.base, elems, index, down, s, side)
+    return BruhatInterval(iv.cox, base, tuple(elems), index, tuple(down))
+
+
+def _letter_step(base, elems, index, down, s, side):
+    """Grow [1, u] = (elems, index, down) in place to [1, us] (side
+    "right") or [1, su] (side "left"), where u = base; returns the new base.
+
+    For u < us, [1, us] = [1, u] | [1, u]s (Bjorner-Brenti 2.2.7).  With u
+    the base this gives the new elements us; with each u whose us is new it
+    gives that element's down-set, down(u) | down(u)s.  Inversion is a
+    Bruhat automorphism, so on the left [1, su] = [1, u] | s[1, u] and
+    down(su) = down(u) | s down(u).  Works in infinite groups.
+    """
+    descent = _DESCENT[side]
+    if descent(base, s):
+        raise BruhatError("input word is not reduced")
+    n = len(elems)
+    times_s = [None] * n    # times_s[i]: the position of elems[i] times s
+    for i in range(n):
+        if descent(elems[i], s):
+            continue        # filled in from its product with s, which is below
+        us = elems[i].times_gen(s, side)
+        j = times_s[i] = index.setdefault(us, len(elems))
+        if j == len(elems):
+            elems.append(us)
+        else:
+            times_s[j] = i
+    for i in range(n):
+        if times_s[i] >= n:     # a new element, over elems[i]
+            ds = down[i]
+            for k in ps._bits(down[i]):
+                ds |= 1 << times_s[k]
+            down.append(ds)
+    return base.times_gen(s, side)
 
 
 class BruhatPartition:
@@ -132,40 +155,42 @@ class BruhatPartition:
         self.interval_wbara = iva
 
 
-_DESCENT = {"right": cx.right_descent, "left": cx.left_descent}
-
-
-def partition(m, wbar_word, a, side="right"):
+def partition(m, iv, a, side="right"):
     """The four blocks of [1, wbar*a] for a right multiplier a, or with
-    side="left" of [1, a*wbar], by left products and left descents.
+    side="left" of [1, a*wbar], by left products and left descents, where
+    iv = [1, wbar] (a BruhatInterval in m).
 
-    Requires wbar < wbar*a (the standing hypothesis wbar in W_a'); the stated
-    block identities and upper-set facts are verified before returning.
+    [1, wbar*a] is iv grown by one letter step, so W4, the new elements, is
+    its positions past len(iv).  Requires wbar < wbar*a (the standing
+    hypothesis wbar in W_a'); the stated block identities and upper-set
+    facts are verified before returning.
     """
     if side not in _DESCENT:
         raise BruhatError('side must be "left" or "right", got %r' % (side,))
+    if iv.cox != m:
+        raise BruhatError("the interval is not in the given Coxeter group")
     descent = _DESCENT[side]
-    iv = interval(m, wbar_word)
     wbar = iv.base
     if descent(wbar, a):
         raise BruhatError("wbar*a < wbar: wbar must not have a as %s descent"
                           % side)
-    letters = tuple(wbar_word)
-    iva = interval(m, letters + (a,) if side == "right" else (a,) + letters)
-    W1, W2, W3, W4, phi = set(), set(), set(), set(), {}
-    for w in iva.elements:
+    iva = grow(iv, a, side)
+    n = len(iv)
+    W1, W2, W3, phi = set(), set(), set(), {}
+    for k, w in enumerate(iva.elements):
         down = descent(w, a)
         phi[w] = w.times_gen(a, side) if down else w
-        if w not in iv.index:
-            W4.add(w)
-        elif down:
+        if k >= n:
+            continue            # W4
+        if down:
             W1.add(w)
         elif w.times_gen(a, side) in iv.index:
             W2.add(w)
         else:
             W3.add(w)
     part = BruhatPartition(m, wbar, a, side, frozenset(W1), frozenset(W2),
-                           frozenset(W3), frozenset(W4), phi, iv, iva)
+                           frozenset(W3), frozenset(iva.elements[n:]), phi,
+                           iv, iva)
     _check_partition(part)
     return part
 

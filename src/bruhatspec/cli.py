@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 
 import argparse
 import json
+import os
 import sys
 
 from . import acceptance
@@ -40,6 +41,18 @@ class UsageError(Exception):
     pass
 
 
+def _check_output(path):
+    """Fail before any work if path cannot be written; leaves no new file."""
+    if path:
+        existed = os.path.lexists(path)
+        try:
+            open(path, "a").close()
+        except OSError as e:
+            raise UsageError("cannot write %r: %s" % (path, e)) from e
+        if not existed:
+            os.remove(path)
+
+
 def _emit(text, path):
     if path:
         try:
@@ -52,6 +65,8 @@ def _emit(text, path):
 
 
 def cmd_interval(args):
+    if args.format:
+        _check_output(args.output)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     prof = iv.rank_profile()
     print("%d elements, ranks %s" % (len(iv), ",".join(map(str, prof))))
@@ -61,7 +76,8 @@ def cmd_interval(args):
 
 
 def cmd_partition(args):
-    part = br.partition(_matrix(args.matrix), _word(args.word), args.gen)
+    m = _matrix(args.matrix)
+    part = br.partition(m, br.interval(m, _word(args.word)), args.gen)
     for name, block in (("W1", part.W1), ("W2", part.W2),
                         ("W3", part.W3), ("W4", part.W4)):
         labs = sorted(br.word_label(w)
@@ -80,6 +96,8 @@ def cmd_pushout_check(args):
 
 
 def cmd_pipeline(args):
+    if args.format:
+        _check_output(args.output)
     try:
         if args.builtin:
             spec = sp.builtin(args.builtin)
@@ -112,6 +130,7 @@ def cmd_selftest(args):
 
 
 def cmd_export(args):
+    _check_output(args.output)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     _emit(ps.export(iv.to_poset(), args.format), args.output)
     return 0

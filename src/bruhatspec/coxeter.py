@@ -78,6 +78,8 @@ class CoxeterMatrix:
 
     def reflection(self, i):
         """Matrix of the simple reflection s_i on the root lattice (i is 1-based)."""
+        if not 1 <= i <= self.n:
+            raise CoxeterError("invalid generator index %r" % (i,))
         return _reflections(self)[i - 1]
 
     def check_word(self, word):
@@ -186,6 +188,9 @@ class GroupElement:
             return GroupElement(
                 self.cox, _mat_mul(self.matrix, S), _mat_mul(S, self.matrix_inv)
             )
+        if side != "left":
+            raise CoxeterError('side must be "left" or "right", got %r'
+                               % (side,))
         return GroupElement(
             self.cox, _mat_mul(S, self.matrix), _mat_mul(self.matrix_inv, S)
         )
@@ -218,7 +223,6 @@ def identity_element(cox):
 
 
 def generator_element(cox, i):
-    cox.check_word((i,))
     S = cox.reflection(i)
     return GroupElement(cox, S, S)
 

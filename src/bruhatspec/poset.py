@@ -239,14 +239,20 @@ def find_isomorphism(P, Q, constraints=()):
         return None
     # assign elements ordered by candidate-set scarcity proxy: |down| then label
     order = sorted(range(n), key=lambda i: (psig[i][1], P.labels[i]))
-    cands = [sorted((j for j in range(n) if qsig[j] == psig[i]),
-                    key=lambda j: Q.labels[j]) for i in range(n)]
+    # one candidate list per signature class, shared by its elements
+    by_sig = {}
+    for j in sorted(range(n), key=lambda j: Q.labels[j]):
+        by_sig.setdefault(qsig[j], []).append(j)
+    cands = [by_sig[psig[i]] for i in range(n)]
+    masks = {sig: sum(1 << j for j in c) for sig, c in by_sig.items()}
     # targets strictly above, strictly below and incomparable to each j
     rel = [(u & ~d, d & ~u, ~(u | d)) for u, d in zip(Q.up, Q.down)]
     # depth-first over an explicit stack: stack[pos] holds the next
-    # candidate index for order[pos] and the live bitsets it is tried with
+    # candidate index for order[pos] and the live bitsets it is tried with.
+    # Equal live bitsets within one frame are one int object, so a frame
+    # costs a list of references rather than n fresh n-bit ints.
     assign = {}
-    stack = [[0, [sum(1 << j for j in c) for c in cands]]]
+    stack = [[0, [masks[psig[i]] for i in range(n)]]]
     while stack and len(stack) <= n:
         pos = len(stack) - 1
         frame, i = stack[pos], order[pos]
@@ -260,12 +266,13 @@ def find_isomorphism(P, Q, constraints=()):
             continue
         above, below, apart = rel[j]
         up_i, down_i = P.up[i], P.down[i]
-        nxt = list(live)
+        nxt, same = list(live), {}
         for i2 in order[pos + 1:]:
-            nxt[i2] &= (above if up_i >> i2 & 1 else
-                        below if down_i >> i2 & 1 else apart)
-            if not nxt[i2]:
+            v = nxt[i2] & (above if up_i >> i2 & 1 else
+                           below if down_i >> i2 & 1 else apart)
+            if not v:
                 break
+            nxt[i2] = same.setdefault(v, v)
         else:
             assign[i] = j
             stack.append([0, nxt])
@@ -313,7 +320,7 @@ def pushout_square(m, wbar, a):
     from . import bruhat as br
     from . import coxeter as cx
 
-    part = br.partition(m, wbar, a)
+    part = br.partition(m, br.interval(m, wbar), a)
     wl = br.word_label
     Pw = part.interval_wbar.to_poset()
     Pwa = part.interval_wbara.to_poset()

@@ -65,7 +65,7 @@ def test_interval_rejects_non_reduced():
     with pytest.raises(br.BruhatError, match="input word is not reduced"):
         br.interval(A2, (1, 2, 1, 2))
     with pytest.raises(br.BruhatError, match="input word is not reduced"):
-        br.partition(A3, (1, 1), 2)
+        br.partition(A3, br.interval(A3, (1, 1)), 2)
     with pytest.raises(br.BruhatError, match="input word is not reduced"):
         br.is_decomposable(A2, (1, 1))
 
@@ -101,8 +101,45 @@ def test_interval_order_matches_bruhat_leq_affine():
                 br.bruhat_leq(u, v), (u.word, v.word)
 
 
+@pytest.mark.parametrize("m,bound", [(A3, 5), (D4, 4), (AFF, 5)])
+def test_grow_matches_interval_from_scratch(m, bound):
+    """[1, w] grown by a on the right or left equals [1, wa] or [1, aw]
+    built from the empty word: elements, labels, ranks and Hasse edges."""
+    count = 0
+    for w in cx.elements_up_to_length(m, bound):
+        iv = br.interval(m, w.word)
+        for a in m.generators:
+            for side, word, descent in (
+                    ("right", w.word + (a,), cx.right_descent),
+                    ("left", (a,) + w.word, cx.left_descent)):
+                if descent(w, a):
+                    continue
+                grown = br.grow(iv, a, side)
+                ref = br.interval(m, word)
+                assert grown.base == ref.base
+                assert grown.elements[:len(iv)] == iv.elements
+                assert set(grown.elements) == set(ref.elements)
+                P, Q = grown.to_poset(), ref.to_poset()
+                assert (P.labels, P.rank, P.hasse) == \
+                    (Q.labels, Q.rank, Q.hasse), (w, a, side)
+                count += 1
+    assert count >= 60
+
+
+def test_grow_leaves_its_input_alone():
+    iv = br.interval(A3, (2, 1))
+    before = (iv.elements, dict(iv.index), iv.down)
+    with pytest.raises(br.BruhatError, match="input word is not reduced"):
+        br.grow(iv, 1, "right")
+    with pytest.raises(br.BruhatError, match="side must be"):
+        br.grow(iv, 3, "up")
+    grown = br.grow(iv, 3, "left")
+    assert (iv.elements, iv.index, iv.down) == before
+    assert len(grown) == 2 * len(iv) and grown.index is not iv.index
+
+
 def test_partition_qmatrices_example():
-    part = br.partition(A3, (2, 1, 3), 2)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
     assert {w.word for w in part.W2} == {()}
     assert {w.word for w in part.W1} == {(2,)}
     assert len(part.W3) == 6
@@ -110,14 +147,14 @@ def test_partition_qmatrices_example():
 
 
 def test_partition_delta0_shape():
-    part = br.partition(A2, (1,), 2)
+    part = br.partition(A2, br.interval(A2, (1,)), 2)
     assert not part.W1 and not part.W2
     assert {w.word for w in part.W3} == {(), (1,)}
     assert {w.word for w in part.W4} == {(2,), (1, 2)}
 
 
 def test_partition_21321_example():
-    part = br.partition(A3, (2, 1, 3, 2), 1)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3, 2)), 1)
     w2 = {(), (2,), (3,), (2, 3), (1, 2)}
     w1 = {(1,), (2, 1), (1, 3), (2, 1, 3), (2, 1, 2)}
     assert {w.word for w in part.W2} == w2
@@ -132,7 +169,9 @@ def test_partition_21321_example():
 
 def test_partition_precondition():
     with pytest.raises(br.BruhatError):
-        br.partition(A2, (1,), 1)   # wbar*a < wbar
+        br.partition(A2, br.interval(A2, (1,)), 1)   # wbar*a < wbar
+    with pytest.raises(br.BruhatError, match="not in the given Coxeter"):
+        br.partition(A2, br.interval(A3, (1,)), 2)
 
 
 @pytest.mark.parametrize("m,bound", [(A3, 5), (D4, 4), (AFF, 5)])
@@ -145,8 +184,8 @@ def test_left_partition_inverts_right_partition(m, bound):
         for a in m.generators:
             if cx.left_descent(w, a):
                 continue
-            left = br.partition(m, w.word, a, side="left")
-            right = br.partition(m, w.inverse().word, a)
+            left = br.partition(m, br.interval(m, w.word), a, side="left")
+            right = br.partition(m, br.interval(m, w.inverse().word), a)
             assert left.interval_wbara.base == el(m, (a,) + w.word)
             assert {x.times_gen(a, "left") for x in left.W1} == left.W2
             assert {x.times_gen(a, "left") for x in left.W4} == left.W3
@@ -159,19 +198,19 @@ def test_left_partition_inverts_right_partition(m, bound):
 
 
 def test_left_partition_checks_its_laws():
-    part = br.partition(A3, (2, 1), 1, side="left")
+    part = br.partition(A3, br.interval(A3, (2, 1)), 1, side="left")
     assert part.W1 and part.W2      # 1 is in supp(wbar): all four blocks
     part.W1, part.W2 = part.W2, part.W1
     with pytest.raises(br.BruhatError, match="W2 != m_a\\(W1\\)"):
         br._check_partition(part)
     with pytest.raises(br.BruhatError, match="left descent"):
-        br.partition(A3, (1, 2), 1, side="left")
+        br.partition(A3, br.interval(A3, (1, 2)), 1, side="left")
     with pytest.raises(br.BruhatError, match="side must be"):
-        br.partition(A3, (1, 2), 3, side="up")
+        br.partition(A3, br.interval(A3, (1, 2)), 3, side="up")
 
 
 def test_phi_properties():
-    part = br.partition(A3, (2, 1, 3, 2), 1)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3, 2)), 1)
     f = part.phi
     e = cx.identity_element(A3)
     assert f[e] == e
@@ -187,7 +226,7 @@ def test_phi_properties():
 
 
 def test_phi2_comparison_law():
-    part = br.partition(A3, (2, 1, 3, 2), 1)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3, 2)), 1)
     f = part.phi
     wa = [w for w in part.interval_wbara.elements if cx.right_descent(w, 1)]
     wap = [w for w in part.interval_wbara.elements
@@ -198,7 +237,7 @@ def test_phi2_comparison_law():
 
 
 def test_lemma_ignore_w1_instance():
-    part = br.partition(A3, (2, 1, 3, 2), 1)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3, 2)), 1)
     for w in part.W2:
         for wp in part.W4:
             if br.bruhat_leq(w, wp):
@@ -279,6 +318,7 @@ def test_partition_invariants_random_affine(word):
     for a in AFF.generators:
         if cx.right_descent(w, a):
             continue
-        part = br.partition(AFF, w.word, a)   # raises if any identity fails
+        # raises if any identity fails
+        part = br.partition(AFF, br.interval(AFF, w.word), a)
         assert len(part.W1) == len(part.W2)
         assert len(part.W3) == len(part.W4)

@@ -137,10 +137,23 @@ def test_pipeline_malformed_expect_is_usage_error(tmp_path, capsys, expect):
 ])
 def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     path = tmp_path / "missing" / "x.json"
-    code, _, err = run(capsys, *argv, "--output", str(path))
-    assert code == 2
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert "Traceback" not in err and not path.exists()
+
+
+def test_output_check_leaves_files_alone_when_the_work_fails(tmp_path, capsys):
+    new, old = tmp_path / "new.json", tmp_path / "old.json"
+    old.write_text("kept")
+    for path in (new, old):
+        code, out, err = run(capsys, "export", "--matrix", "A2", "--word",
+                             "1,1", "--format", "json", "--output", str(path))
+        assert code == 2 and out == "" and "not reduced" in err
+    assert not new.exists() and old.read_text() == "kept"
+    code, _, _ = run(capsys, "export", "--matrix", "A2", "--word", "1,2",
+                     "--format", "json", "--output", str(new))
+    assert code == 0 and len(json.loads(new.read_text())["elements"]) == 4
 
 
 def test_pipeline_unknown_builtin_is_usage_error(capsys):

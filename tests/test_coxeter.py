@@ -70,6 +70,24 @@ def test_element_invalid_index():
         cx.element_from_word(A2, (3,))
 
 
+@pytest.mark.parametrize("i", [0, -1, -3, 4])
+def test_bad_generator_is_rejected_not_wrapped(i):
+    # negative indices must not reach tuple indexing (0 would give s3)
+    e = cx.identity_element(A3)
+    for call in (lambda: A3.reflection(i), lambda: e.times_gen(i),
+                 lambda: e.times_gen(i, "left"),
+                 lambda: cx.generator_element(A3, i)):
+        with pytest.raises(cx.CoxeterError, match="invalid generator index"):
+            call()
+
+
+def test_times_gen_rejects_unknown_side():
+    s1 = cx.generator_element(A3, 1)
+    assert s1.times_gen(2, "left") == cx.element_from_word(A3, (2, 1))
+    with pytest.raises(cx.CoxeterError, match="side must be"):
+        s1.times_gen(2, side="up")
+
+
 def test_right_descent_examples():
     e = cx.identity_element(A2)
     s1 = cx.generator_element(A2, 1)

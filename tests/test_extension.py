@@ -112,7 +112,7 @@ def test_ore_step_partner_missing():
 
 
 def test_extend_iso_trivial():
-    part = br.partition(A2, (), 1)
+    part = br.partition(A2, br.interval(A2, ()), 1)
     setup = ext.ore_step(sp_all_p3(ps.build(["0"], [])),
                          lambda q: "x1")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), ps.build(["0"], []),
@@ -126,7 +126,7 @@ def test_extend_iso_trivial():
 
 def test_extend_iso_hypothesis_a_failure():
     # wrong block: pretend everything is already above delta(R)
-    part = br.partition(A2, (1,), 2)
+    part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     sp = ext.SpectrumPartition(P, frozenset(), frozenset(),
                                frozenset(P.labels), {})
@@ -145,7 +145,7 @@ def test_extend_iso_hypothesis_a_failure():
 
 def test_extend_iso_left_step():
     # [1, 2*1] in A2 by left multiplication: W3 = [1, 1], W4 = 2*[1, 1]
-    part = br.partition(A2, (1,), 2, side="left")
+    part = br.partition(A2, br.interval(A2, (1,)), 2, side="left")
     P = chain2()
     setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
@@ -188,7 +188,7 @@ def test_ore_step_rejects_non_transitive_order():
 
 def test_extend_iso_delta0_step():
     # quantum affine step n=2: extend the 2-chain across s2
-    part = br.partition(A2, (1,), 2)
+    part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
@@ -201,7 +201,7 @@ def test_extend_iso_delta0_step():
 
 
 def test_extend_iso_restriction_formula():
-    part = br.partition(A2, (1,), 2)
+    part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,

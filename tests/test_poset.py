@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -64,7 +65,7 @@ def test_disjoint_union():
 
 
 def test_disjoint_union_qmatrices_sizes():
-    part = br.partition(A3, (2, 1, 3), 2)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
     w3 = ps.induced(part.interval_wbar.to_poset(),
                     [br.word_label(w) for w in part.W3])
     w2 = ps.induced(part.interval_wbar.to_poset(),
@@ -116,6 +117,24 @@ def test_find_isomorphism_deep_antichain():
     assert f("a0000") == "b0000" and f("a1099") == "b1099"
 
 
+def test_find_isomorphism_shares_live_bitsets():
+    """On a 200-element antichain every level narrows all remaining
+    candidate sets to equal values.  Keeping one int per value, the search
+    peaks near 0.5 MB under tracemalloc; a fresh int per element and level
+    (n^3/16 bytes of bits alone) peaks near 1.5 MB."""
+    n = 200
+    P = ps.build(["a%03d" % i for i in range(n)], [])
+    Q = ps.build(["b%03d" % i for i in range(n)], [])
+    tracemalloc.start()
+    try:
+        f = ps.find_isomorphism(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f is not None and f("a199") == "b199"
+    assert peak < 800_000, peak
+
+
 def test_find_isomorphism_backtracks_several_levels():
     """A point, a V (1, 2 < 3) and an N (4 < 6, 4 < 7, 5 < 7), relabeled so
     that the first choices in label order must be undone more than one
@@ -143,7 +162,7 @@ def test_is_upper_set():
     chain = ps.two_chain()
     assert ps.is_upper_set(chain, ["1"])
     assert not ps.is_upper_set(chain, ["0"])
-    part = br.partition(A3, (2, 1, 3), 2)
+    part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
     P = part.interval_wbar.to_poset()
     assert ps.is_upper_set(P, [br.word_label(w) for w in part.W3])
 

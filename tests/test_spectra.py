@@ -152,6 +152,17 @@ def test_step_reports_shape():
         assert r["sizes"]["new"] == r["sizes"]["P"] + r["sizes"]["P3"]
 
 
+def test_pipeline_builds_one_interval_and_grows_it(monkeypatch):
+    """Each lettered step grows the previous step's [1, wbar] by one letter,
+    so a run builds an interval from a word only once, for ()."""
+    calls, interval = [], br.interval
+    monkeypatch.setattr(br, "interval",
+                        lambda m, word: calls.append(word) or interval(m, word))
+    res = sp.run_pipeline(sp.builtin("horton4"))
+    assert calls == [()]
+    assert len(res.final_poset) == 164
+
+
 def test_pipeline_from_file(tmp_path):
     d = {"coxeter": "A2",
          "steps": [{"var": "x1", "gen": 1}, {"var": "x2", "gen": 2}],
