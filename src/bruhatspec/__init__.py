@@ -7,7 +7,7 @@ from .coxeter import (CoxeterMatrix, GroupElement, CoxeterError,
                       right_descent, left_descent, is_reduced,
                       elements_up_to_length, INF)
 from .bruhat import (BruhatError, BruhatInterval, BruhatPartition,
-                     bruhat_leq, interval, grow, partition, is_decomposable,
+                     bruhat_leq, interval, partition, is_decomposable,
                      check_lifting, word_label)
 from .poset import (LabeledPoset, PosetMap, PosetError, build, product,
                     disjoint_union, two_chain, singleton, induced,

@@ -11,8 +11,6 @@ from . import extension as ext
 from . import poset as ps
 from . import spectra as sp
 
-_pipelines = {}
-
 FIGURE1_WORD = (3, 2, 1, 2, 3)
 FIGURE1_PROFILE = (1, 3, 5, 6, 4, 1)
 FIGURE3_WORD = (2, 1, 3, 2, 1)
@@ -25,9 +23,7 @@ HORTON3_PROFILE = (1, 4, 9, 14, 13, 6, 1)
 
 
 def pipeline(name):
-    if name not in _pipelines:
-        _pipelines[name] = sp.run_pipeline(sp.builtin(name))
-    return _pipelines[name]
+    return sp.run_pipeline(sp.builtin(name))
 
 
 def criterion_1():

@@ -1,7 +1,7 @@
 """Bruhat order: comparison via the lifting property, lower intervals [1, w]
 with their order, grown only by the letter step from [1, u] to [1, us] or
-[1, su], the W1-W4 partition of [1, wbar*a] (or [1, a*wbar]) grown from a
-given [1, wbar] by one letter step, with its projection Phi,
+[1, su], the W1-W4 partition of [1, wbar*a] (or [1, a*wbar]) and its
+projection Phi, both read off one letter step's product table,
 decomposability, and an exhaustive lifting-property checker."""
 
 from itertools import combinations
@@ -89,24 +89,15 @@ def interval(m, word):
     base = cx.identity_element(m)
     elems, index, down = [base], {base: 0}, [1]
     for s in word:
-        base = _letter_step(base, elems, index, down, s, "right")
+        base, _ = _letter_step(base, elems, index, down, s, "right")
     return BruhatInterval(m, base, tuple(elems), index, tuple(down))
-
-
-def grow(iv, s, side="right"):
-    """[1, u*s] (side "right") or [1, s*u] (side "left") from iv = [1, u],
-    by one letter step on copies of iv's containers.  The elements of iv
-    keep their positions; the new ones follow them."""
-    if side not in _DESCENT:
-        raise BruhatError('side must be "left" or "right", got %r' % (side,))
-    elems, index, down = list(iv.elements), dict(iv.index), list(iv.down)
-    base = _letter_step(iv.base, elems, index, down, s, side)
-    return BruhatInterval(iv.cox, base, tuple(elems), index, tuple(down))
 
 
 def _letter_step(base, elems, index, down, s, side):
     """Grow [1, u] = (elems, index, down) in place to [1, us] (side
-    "right") or [1, su] (side "left"), where u = base; returns the new base.
+    "right") or [1, su] (side "left"), where u = base; returns the new base
+    and the table `times`: times[k] is the position of elems[k]*s (or
+    s*elems[k]) for every position k of the grown interval.
 
     For u < us, [1, us] = [1, u] | [1, u]s (Bjorner-Brenti 2.2.7).  With u
     the base this gives the new elements us; with each u whose us is new it
@@ -118,35 +109,34 @@ def _letter_step(base, elems, index, down, s, side):
     if descent(base, s):
         raise BruhatError("input word is not reduced")
     n = len(elems)
-    times_s = [None] * n    # times_s[i]: the position of elems[i] times s
+    times = [None] * n
     for i in range(n):
         if descent(elems[i], s):
             continue        # filled in from its product with s, which is below
         us = elems[i].times_gen(s, side)
-        j = times_s[i] = index.setdefault(us, len(elems))
+        j = times[i] = index.setdefault(us, len(elems))
         if j == len(elems):
             elems.append(us)
         else:
-            times_s[j] = i
+            times[j] = i
     for i in range(n):
-        if times_s[i] >= n:     # a new element, over elems[i]
+        if times[i] >= n:       # a new element, over elems[i]
             ds = down[i]
             for k in ps._bits(down[i]):
-                ds |= 1 << times_s[k]
+                ds |= 1 << times[k]
             down.append(ds)
-    return base.times_gen(s, side)
+            times.append(i)
+    return base.times_gen(s, side), times
 
 
 class BruhatPartition:
     """The blocks W1-W4 of [1, wbar*a] (side "right") or [1, a*wbar] (side
     "left"), and Phi as a dict: w -> wa (resp. aw) on W1|W4, w on W2|W3."""
 
-    __slots__ = ("cox", "wbar", "a", "side", "W1", "W2", "W3", "W4", "phi",
+    __slots__ = ("a", "side", "W1", "W2", "W3", "W4", "phi",
                  "interval_wbar", "interval_wbara")
 
-    def __init__(self, cox, wbar, a, side, W1, W2, W3, W4, phi, iv, iva):
-        self.cox = cox
-        self.wbar = wbar
+    def __init__(self, a, side, W1, W2, W3, W4, phi, iv, iva):
         self.a = a
         self.side = side
         self.W1, self.W2, self.W3, self.W4 = W1, W2, W3, W4
@@ -160,37 +150,32 @@ def partition(m, iv, a, side="right"):
     side="left" of [1, a*wbar], by left products and left descents, where
     iv = [1, wbar] (a BruhatInterval in m).
 
-    [1, wbar*a] is iv grown by one letter step, so W4, the new elements, is
-    its positions past len(iv).  Requires wbar < wbar*a (the standing
-    hypothesis wbar in W_a'); the stated block identities and upper-set
-    facts are verified before returning.
+    [1, wbar*a] is a copy of iv grown by one letter step, so W4, the new
+    elements, is its positions past len(iv); Phi and the W2/W3 split are
+    read off that step's product table.  Requires wbar < wbar*a (the
+    standing hypothesis wbar in W_a'); the stated block identities and
+    upper-set facts are verified before returning.
     """
     if side not in _DESCENT:
         raise BruhatError('side must be "left" or "right", got %r' % (side,))
     if iv.cox != m:
         raise BruhatError("the interval is not in the given Coxeter group")
     descent = _DESCENT[side]
-    wbar = iv.base
-    if descent(wbar, a):
+    if descent(iv.base, a):
         raise BruhatError("wbar*a < wbar: wbar must not have a as %s descent"
                           % side)
-    iva = grow(iv, a, side)
+    elems, index, down = list(iv.elements), dict(iv.index), list(iv.down)
+    base, times = _letter_step(iv.base, elems, index, down, a, side)
+    iva = BruhatInterval(m, base, tuple(elems), index, tuple(down))
     n = len(iv)
     W1, W2, W3, phi = set(), set(), set(), {}
-    for k, w in enumerate(iva.elements):
-        down = descent(w, a)
-        phi[w] = w.times_gen(a, side) if down else w
-        if k >= n:
-            continue            # W4
-        if down:
-            W1.add(w)
-        elif w.times_gen(a, side) in iv.index:
-            W2.add(w)
-        else:
-            W3.add(w)
-    part = BruhatPartition(m, wbar, a, side, frozenset(W1), frozenset(W2),
-                           frozenset(W3), frozenset(iva.elements[n:]), phi,
-                           iv, iva)
+    for k, w in enumerate(elems):
+        desc = descent(w, a)
+        phi[w] = elems[times[k]] if desc else w
+        if k < n:               # the rest is W4
+            (W1 if desc else W2 if times[k] < n else W3).add(w)
+    part = BruhatPartition(a, side, frozenset(W1), frozenset(W2),
+                           frozenset(W3), frozenset(elems[n:]), phi, iv, iva)
     _check_partition(part)
     return part
 

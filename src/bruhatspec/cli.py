@@ -41,9 +41,12 @@ class UsageError(Exception):
     pass
 
 
-def _check_output(path):
-    """Fail before any work if path cannot be written; leaves no new file."""
+def _check_output(path, fmt):
+    """Fail before any work if path is given without a format or cannot be
+    written; leaves no new file."""
     if path:
+        if not fmt:
+            raise UsageError("--output requires --format")
         existed = os.path.lexists(path)
         try:
             open(path, "a").close()
@@ -65,8 +68,7 @@ def _emit(text, path):
 
 
 def cmd_interval(args):
-    if args.format:
-        _check_output(args.output)
+    _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     prof = iv.rank_profile()
     print("%d elements, ranks %s" % (len(iv), ",".join(map(str, prof))))
@@ -96,8 +98,7 @@ def cmd_pushout_check(args):
 
 
 def cmd_pipeline(args):
-    if args.format:
-        _check_output(args.output)
+    _check_output(args.output, args.format)
     try:
         if args.builtin:
             spec = sp.builtin(args.builtin)
@@ -130,7 +131,7 @@ def cmd_selftest(args):
 
 
 def cmd_export(args):
-    _check_output(args.output)
+    _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     _emit(ps.export(iv.to_poset(), args.format), args.output)
     return 0

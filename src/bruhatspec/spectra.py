@@ -147,6 +147,7 @@ def _load_step(k, sd, cox):
     if not isinstance(var, str):
         raise SpectraError("step %d: var must be a string, got %r" % (k, var))
     where = "step %d (%s)" % (k, var)
+    _check_symbol(where, "var", var)
     gen = sd.get("gen")
     if gen is not None:
         if isinstance(gen, bool) or not isinstance(gen, int):
@@ -169,6 +170,8 @@ def _load_step(k, sd, cox):
         if not all(isinstance(x, str) for kv in maps[key].items() for x in kv):
             raise SpectraError("%s: %s must map strings to strings, got %r"
                                % (where, key, maps[key]))
+    for sym in maps["rewrite"].values():
+        _check_symbol(where, "rewrite value", sym)
     try:
         delta = {sym: parse_monomials(ms) for sym, ms in maps["delta"].items()}
         expansions = {sym: parse_monomials(ms)
@@ -177,6 +180,14 @@ def _load_step(k, sd, cox):
         raise SpectraError("%s: %s" % (where, e)) from e
     return Step(var, gen, side, delta, dict(maps["rewrite"]), expansions,
                 dict(maps["partner"]))
+
+
+def _check_symbol(where, what, sym):
+    """Prime labels join symbols with "," and call no symbols "0" (label_of),
+    so a symbol that is empty, holds "," or is "0" could label two primes."""
+    if not sym or "," in sym or sym == "0":
+        raise SpectraError('%s: %s must be a non-empty symbol without "," '
+                           'other than "0", got %r' % (where, what, sym))
 
 
 def _load_expect(expect):
@@ -199,6 +210,10 @@ def load_pipeline(d, name=None):
     cox = cx.matrix_by_name(cm) if isinstance(cm, str) \
         else cx.CoxeterMatrix.from_json_dict(cm)
     steps = [_load_step(k, sd, cox) for k, sd in enumerate(d["steps"], 1)]
+    for k, st in enumerate(steps, 1):
+        if any(st.var == prev.var for prev in steps[:k - 1]):
+            raise SpectraError("step %d (%s): var repeats an earlier step's"
+                               % (k, st.var))
     return PipelineSpec(name=name or d.get("name", "pipeline"),
                         cox=cox, steps=steps,
                         expect=_load_expect(d.get("expect")))

@@ -103,8 +103,9 @@ def test_interval_order_matches_bruhat_leq_affine():
 
 @pytest.mark.parametrize("m,bound", [(A3, 5), (D4, 4), (AFF, 5)])
 def test_grow_matches_interval_from_scratch(m, bound):
-    """[1, w] grown by a on the right or left equals [1, wa] or [1, aw]
-    built from the empty word: elements, labels, ranks and Hasse edges."""
+    """[1, w] grown by a on the right or left by partition equals [1, wa] or
+    [1, aw] built from the empty word: elements, labels, ranks and Hasse
+    edges."""
     count = 0
     for w in cx.elements_up_to_length(m, bound):
         iv = br.interval(m, w.word)
@@ -114,7 +115,7 @@ def test_grow_matches_interval_from_scratch(m, bound):
                     ("left", (a,) + w.word, cx.left_descent)):
                 if descent(w, a):
                     continue
-                grown = br.grow(iv, a, side)
+                grown = br.partition(m, iv, a, side).interval_wbara
                 ref = br.interval(m, word)
                 assert grown.base == ref.base
                 assert grown.elements[:len(iv)] == iv.elements
@@ -127,15 +128,44 @@ def test_grow_matches_interval_from_scratch(m, bound):
 
 
 def test_grow_leaves_its_input_alone():
+    """partition grows a copy of iv and leaves iv untouched."""
     iv = br.interval(A3, (2, 1))
     before = (iv.elements, dict(iv.index), iv.down)
-    with pytest.raises(br.BruhatError, match="input word is not reduced"):
-        br.grow(iv, 1, "right")
+    with pytest.raises(br.BruhatError,
+                       match="wbar must not have a as right descent"):
+        br.partition(A3, iv, 1, "right")
     with pytest.raises(br.BruhatError, match="side must be"):
-        br.grow(iv, 3, "up")
-    grown = br.grow(iv, 3, "left")
+        br.partition(A3, iv, 3, "up")
+    grown = br.partition(A3, iv, 3, "left").interval_wbara
     assert (iv.elements, iv.index, iv.down) == before
     assert len(grown) == 2 * len(iv) and grown.index is not iv.index
+
+
+def test_partition_reads_products_off_its_letter_step(monkeypatch):
+    """partition forms each product with a once, in its letter step: one
+    per x in [1, w] without a as a descent, plus the new base."""
+    calls = []
+    times_gen = cx.GroupElement.times_gen
+
+    def counted(self, *args):
+        calls.append(args)
+        return times_gen(self, *args)
+
+    monkeypatch.setattr(cx.GroupElement, "times_gen", counted)
+    count = 0
+    for w in cx.elements_up_to_length(A3, 5):
+        iv = br.interval(A3, w.word)
+        for a in A3.generators:
+            for side, descent in (("right", cx.right_descent),
+                                  ("left", cx.left_descent)):
+                if descent(w, a):
+                    continue
+                calls.clear()
+                br.partition(A3, iv, a, side)
+                ascents = sum(not descent(x, a) for x in iv.elements)
+                assert len(calls) == 1 + ascents, (w, a, side)
+                count += 1
+    assert count >= 60
 
 
 def test_partition_qmatrices_example():

@@ -104,6 +104,16 @@ def test_pipeline_verification_failure(tmp_path, capsys):
      "partner override names unknown prime"),
     ({"var": "x1", "gen": 1, "partner": {"0": "nope"}},
      "partner override names unknown prime 'nope'"),
+    ({"var": "0", "gen": 1}, "step 1 (0): var must be a non-empty symbol"),
+    ({"var": "", "gen": 1}, "step 1 (): var must be a non-empty symbol"),
+    ({"var": "a,b", "gen": 1},
+     "step 1 (a,b): var must be a non-empty symbol without \",\""),
+    ({"var": "x1", "gen": 1, "rewrite": {"x2": "0"}},
+     "step 1 (x1): rewrite value must be a non-empty symbol"),
+    ({"var": "x1", "gen": 1, "rewrite": {"x2": "x,y"}},
+     "rewrite value must be a non-empty symbol without \",\""),
+    ({"var": "x1", "gen": 1, "rewrite": {"x2": ""}},
+     "rewrite value must be a non-empty symbol"),
 ])
 def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
                                                 message):
@@ -111,6 +121,21 @@ def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
     path.write_text(json.dumps({"coxeter": "A2", "steps": [step]}))
     code, _, err = run(capsys, "pipeline", "--file", str(path))
     assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vars_, message", [
+    (["x", "x"], "step 2 (x): var repeats an earlier step's"),
+    (["a", "b", "a"], "step 3 (a): var repeats an earlier step's"),
+])
+def test_pipeline_repeated_var_is_usage_error(tmp_path, capsys, vars_,
+                                              message):
+    path = tmp_path / "bad.json"
+    steps = [{"var": v, "gen": g} for g, v in enumerate(vars_, 1)]
+    path.write_text(json.dumps({"coxeter": "A3", "steps": steps}))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
 
@@ -141,6 +166,18 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
     assert code == 2 and out == ""
     assert err.startswith("error: cannot write") and err.count("\n") == 1
     assert "Traceback" not in err and not path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["interval", "--matrix", "A2", "--word", "1,2"],
+    ["pipeline", "--builtin", "qaffine1"],
+])
+def test_output_without_format_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "x.json"
+    code, out, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: --output requires --format\n"
+    assert not path.exists()
 
 
 def test_output_check_leaves_files_alone_when_the_work_fails(tmp_path, capsys):
