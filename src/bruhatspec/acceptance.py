@@ -109,8 +109,8 @@ def criterion_7():
     for name, m, w, a in _sweep():
         if a in set(w.word):     # need a not below wbar
             continue
-        iva = br.interval(m, w.word + (a,)).to_poset()
-        prod = ps.product(br.interval(m, w.word).to_poset(), ps.two_chain())
+        iva = br.interval(m, w.word + (a,))
+        prod = ps.product(br.interval(m, w.word), ps.two_chain())
         found = ps.find_isomorphism(iva, prod)
         assert found is not None and found.is_isomorphism, \
             "no product isomorphism for %s, wbar=%r, a=%d" % (name, w.word, a)
@@ -164,10 +164,9 @@ def criterion_11():
         assert {x.times_gen(a) for x in part.W1} == set(part.W2)
         assert {x.times_gen(a) for x in part.W4} == set(part.W3)
         labels = lambda S: [br.word_label(x) for x in S]
-        assert ps.is_upper_set(part.interval_wbar.to_poset(), labels(part.W3))
-        assert ps.is_upper_set(part.interval_wbara.to_poset(), labels(part.W4))
-        assert ps.is_upper_set(part.interval_wbara.to_poset(),
-                               labels(part.W3 | part.W4))
+        assert ps.is_upper_set(part.interval_wbar, labels(part.W3))
+        assert ps.is_upper_set(part.interval_wbara, labels(part.W4))
+        assert ps.is_upper_set(part.interval_wbara, labels(part.W3 | part.W4))
         w23 = {x for x in part.interval_wbara.elements
                if not cx.right_descent(x, a)}
         assert w23 == set(part.W2 | part.W3)

@@ -1,8 +1,9 @@
 """Bruhat order: comparison via the lifting property, lower intervals [1, w]
-with their order, grown only by the letter step from [1, u] to [1, us] or
-[1, su], the W1-W4 partition of [1, wbar*a] (or [1, a*wbar]) and its
-projection Phi, both read off one letter step's product table,
-decomposability, and an exhaustive lifting-property checker."""
+as checked, ranked posets labelled by canonical words, grown only by the
+letter step from [1, u] to [1, us] or [1, su], the W1-W4 partition of
+[1, wbar*a] (or [1, a*wbar]) and its projection Phi, both read off one
+letter step's product table, decomposability, and an exhaustive
+lifting-property checker."""
 
 from itertools import combinations
 
@@ -31,48 +32,37 @@ def bruhat_leq(u, v):
     return u == v
 
 
-class BruhatInterval:
-    """The interval [1, base] with its order.
+class BruhatInterval(ps.LabeledPoset):
+    """The interval [1, base] as a checked, ranked LabeledPoset.
 
-    `elements` is a tuple in build order and `index` maps each element to its
-    position there.  `down[i]` is the down-set of elements[i] as an int
-    bitset over positions: bit j is set iff elements[j] <= elements[i].
+    Built from the elements and down-sets the letter steps made, in any
+    order (bit j of down[i] set iff elements[j] <= elements[i]).  They are
+    sorted once by (length, canonical word); LabeledPoset gets the dotted
+    canonical words as labels, the up-sets, and the lengths as ranks, and
+    checks the order.  `elements[i]` is the element labelled `labels[i]`,
+    and `position` maps each element to its i.
     """
 
-    __slots__ = ("cox", "base", "elements", "index", "down")
+    __slots__ = ("cox", "base", "elements", "position")
 
-    def __init__(self, cox, base, elements, index, down):
-        self.cox = cox
-        self.base = base
-        self.elements = elements
-        self.index = index
-        self.down = down
-
-    def __len__(self):
-        return len(self.elements)
-
-    def rank_profile(self):
-        top = max(w.length for w in self.elements)
-        prof = [0] * (top + 1)
-        for w in self.elements:
-            prof[w.length] += 1
-        return tuple(prof)
-
-    def to_poset(self, label=None):
-        """LabeledPoset view, elements sorted by (length, canonical word);
-        labels default to dotted canonical words."""
-        if label is None:
-            label = word_label
-        elems = self.elements
-        order = sorted(range(len(elems)),
-                       key=lambda i: (elems[i].length, elems[i].word))
+    def __init__(self, cox, base, elements, down):
+        order = sorted(range(len(elements)),
+                       key=lambda i: (elements[i].length, elements[i].word))
         pos = {i: k for k, i in enumerate(order)}
-        up = [0] * len(elems)
-        for i, d in enumerate(self.down):
+        up = [0] * len(order)
+        for i, d in enumerate(down):
             for j in ps._bits(d):
                 up[pos[j]] |= 1 << pos[i]
-        rank = {k: elems[i].length for k, i in enumerate(order)}
-        return ps.LabeledPoset([label(elems[i]) for i in order], up, rank)
+        self.cox = cox
+        self.base = base
+        self.elements = tuple(elements[i] for i in order)
+        self.position = {w: k for k, w in enumerate(self.elements)}
+        super().__init__(map(word_label, self.elements), up,
+                         {k: w.length for k, w in enumerate(self.elements)})
+
+    def to_poset(self):
+        """The interval itself: it is already a LabeledPoset."""
+        return self
 
 
 def word_label(w):
@@ -87,14 +77,14 @@ def interval(m, word):
     the identity grown by one letter step per letter of the word."""
     word = m.check_word(word)
     base = cx.identity_element(m)
-    elems, index, down = [base], {base: 0}, [1]
+    elems, position, down = [base], {base: 0}, [1]
     for s in word:
-        base, _ = _letter_step(base, elems, index, down, s, "right")
-    return BruhatInterval(m, base, tuple(elems), index, tuple(down))
+        base, _ = _letter_step(base, elems, position, down, s, "right")
+    return BruhatInterval(m, base, elems, down)
 
 
-def _letter_step(base, elems, index, down, s, side):
-    """Grow [1, u] = (elems, index, down) in place to [1, us] (side
+def _letter_step(base, elems, position, down, s, side):
+    """Grow [1, u] = (elems, position, down) in place to [1, us] (side
     "right") or [1, su] (side "left"), where u = base; returns the new base
     and the table `times`: times[k] is the position of elems[k]*s (or
     s*elems[k]) for every position k of the grown interval.
@@ -114,7 +104,7 @@ def _letter_step(base, elems, index, down, s, side):
         if descent(elems[i], s):
             continue        # filled in from its product with s, which is below
         us = elems[i].times_gen(s, side)
-        j = times[i] = index.setdefault(us, len(elems))
+        j = times[i] = position.setdefault(us, len(elems))
         if j == len(elems):
             elems.append(us)
         else:
@@ -150,11 +140,11 @@ def partition(m, iv, a, side="right"):
     side="left" of [1, a*wbar], by left products and left descents, where
     iv = [1, wbar] (a BruhatInterval in m).
 
-    [1, wbar*a] is a copy of iv grown by one letter step, so W4, the new
-    elements, is its positions past len(iv); Phi and the W2/W3 split are
-    read off that step's product table.  Requires wbar < wbar*a (the
-    standing hypothesis wbar in W_a'); the stated block identities and
-    upper-set facts are verified before returning.
+    A copy of iv's elements and down-sets is grown by one letter step to
+    [1, wbar*a], so W4, the new elements, is that list past len(iv); Phi
+    and the W2/W3 split are read off the step's product table.  Requires
+    wbar < wbar*a (the standing hypothesis wbar in W_a'); the stated block
+    identities and upper-set facts are verified before returning.
     """
     if side not in _DESCENT:
         raise BruhatError('side must be "left" or "right", got %r' % (side,))
@@ -164,9 +154,9 @@ def partition(m, iv, a, side="right"):
     if descent(iv.base, a):
         raise BruhatError("wbar*a < wbar: wbar must not have a as %s descent"
                           % side)
-    elems, index, down = list(iv.elements), dict(iv.index), list(iv.down)
-    base, times = _letter_step(iv.base, elems, index, down, a, side)
-    iva = BruhatInterval(m, base, tuple(elems), index, tuple(down))
+    elems, position, down = list(iv.elements), dict(iv.position), list(iv.down)
+    base, times = _letter_step(iv.base, elems, position, down, a, side)
+    iva = BruhatInterval(m, base, elems, down)
     n = len(iv)
     W1, W2, W3, phi = set(), set(), set(), {}
     for k, w in enumerate(elems):
@@ -195,7 +185,7 @@ def _check_partition(part):
     for name, S, ivs in (("W3", part.W3, iv), ("W4", part.W4, iva),
                          ("W3|W4", part.W3 | part.W4, iva)):
         # S is upper iff nothing outside S lies above a member of S
-        mask = sum(1 << ivs.index[w] for w in S)
+        mask = sum(1 << ivs.position[w] for w in S)
         if any(d & mask for i, d in enumerate(ivs.down) if not mask >> i & 1):
             raise BruhatError("%s not upper in %s" % (
                 name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))

@@ -73,7 +73,7 @@ def cmd_interval(args):
     prof = iv.rank_profile()
     print("%d elements, ranks %s" % (len(iv), ",".join(map(str, prof))))
     if args.format:
-        _emit(ps.export(iv.to_poset(), args.format), args.output)
+        _emit(ps.export(iv, args.format), args.output)
     return 0
 
 
@@ -133,7 +133,7 @@ def cmd_selftest(args):
 def cmd_export(args):
     _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
-    _emit(ps.export(iv.to_poset(), args.format), args.output)
+    _emit(ps.export(iv, args.format), args.output)
     return 0
 
 

@@ -189,7 +189,7 @@ def extend_iso(nabla, part, s):
             assign[wl(w)] = inv_px[nab(phi[w])]
         else:
             assign[wl(w)] = nab(w)
-    nablat = ps.PosetMap(part.interval_wbara.to_poset(), s.Ptilde, assign)
+    nablat = ps.PosetMap(part.interval_wbara, s.Ptilde, assign)
     if not nablat.is_isomorphism:
         raise ExtensionError("extended map is not an isomorphism")
     return nablat

@@ -294,7 +294,8 @@ def export(P, fmt):
         lines = ["digraph poset {", "  rankdir=BT;",
                  '  node [shape=box, fontsize=10];']
         for i, lab in enumerate(P.labels):
-            lines.append('  n%d [label="%s"];' % (i, lab.replace('"', r'\"')))
+            esc = lab.replace("\\", r"\\").replace('"', r'\"')
+            lines.append('  n%d [label="%s"];' % (i, esc))
         if P.rank is not None:
             layers = {}
             for i in range(len(P)):
@@ -322,11 +323,10 @@ def pushout_square(m, wbar, a):
 
     part = br.partition(m, br.interval(m, wbar), a)
     wl = br.word_label
-    Pw = part.interval_wbar.to_poset()
-    Pwa = part.interval_wbara.to_poset()
+    Pw, Pwa = part.interval_wbar, part.interval_wbara
     w2 = sorted(wl(w) for w in part.W2)
     w3 = sorted(wl(w) for w in part.W3)
-    by_label = {wl(w): w for w in part.interval_wbara.elements}
+    by_label = dict(zip(Pwa.labels, Pwa.elements))
 
     A = disjoint_union(induced(Pw, w3), product(induced(Pw, w2), two_chain()))
     B = product(induced(Pw, w2 + w3), two_chain())

@@ -227,8 +227,8 @@ def run_pipeline(spec):
     """Iterate the schedule; returns a PipelineResult or raises SpectraError
     at the first step whose hypotheses cannot be met.
 
-    The interval [1, wbar] is built once, for the empty word; each step
-    hands the interval it ends with to the next step."""
+    The interval [1, wbar] is built once, for the empty word, and is always
+    the source of nabla; each lettered step grows it by one letter."""
     if not spec.steps:
         raise SpectraError("empty schedule")
     if spec.steps[0].delta or spec.steps[0].gen is None:
@@ -238,16 +238,15 @@ def run_pipeline(spec):
     word = ()
     P = ps.build(["0"], [], rank={0: 0})
     gens = {"0": frozenset()}
-    iv = br.interval(cox, ())
-    nabla = ps.PosetMap(iv.to_poset(), P, {"e": "0"})
+    nabla = ps.PosetMap(br.interval(cox, ()), P, {"e": "0"})
     expans = {}
     reports = []
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            word, iv, P, gens, nabla, rep = _step(cox, word, iv, P, gens,
-                                                  nabla, expans, st)
+            word, P, gens, nabla, rep = _step(cox, word, P, gens, nabla,
+                                              expans, st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             err = SpectraInputError if isinstance(e, SpectraInputError) \
@@ -267,20 +266,20 @@ def run_pipeline(spec):
     return PipelineResult(spec.name, word, P, nabla, gens, reports)
 
 
-def _step(cox, word, iv, P, gens, nabla, expans, st):
-    """One Ore step: from nabla: [1,wbar] -> P, with iv = [1,wbar], to the
-    next word, interval, poset, generator sets and isomorphism.  Returns
-    (word, iv, P, gens, nabla, report).
+def _step(cox, word, P, gens, nabla, expans, st):
+    """One Ore step: from nabla: [1,wbar] -> P, whose source is the
+    BruhatInterval [1,wbar], to the next word, poset, generator sets and
+    isomorphism.  Returns (word, P, gens, nabla, report).
 
     Every step classifies P and builds the ranked next poset by ore_step.  A
     step with a letter a partitions [1, wbar*a] (right) or [1, a*wbar]
-    (left), grown from iv by one letter step, and returns that interval; it
-    extends nabla by extend_iso, which checks hypotheses (a) and (b), and
-    checks the contraction square.  A right step first re-finds
-    nabla on the previous [1,wbar] as a block-respecting isomorphism
+    (left), grown from nabla's source by one letter step; it extends nabla
+    by extend_iso to a map from that interval, which checks hypotheses (a)
+    and (b), and checks the contraction square.  A right step first
+    re-finds nabla on [1,wbar] as a block-respecting isomorphism
     (W1,W2,W3 -> P1,P2,P3); a left step needs a outside supp(wbar) and
-    delta = 0.  A step without a letter maps by iota . nabla and returns iv
-    as it was given.
+    delta = 0.  A step without a letter maps by iota . nabla, from the same
+    interval.
     """
     unknown = sorted((set(st.partner) | set(st.partner.values()))
                      - set(P.labels))
@@ -298,8 +297,12 @@ def _step(cox, word, iv, P, gens, nabla, expans, st):
         if st.delta:
             raise SpectraError("left steps require delta = 0")
     if kind != "none":
-        part = br.partition(cox, iv, a, kind)
+        part = br.partition(cox, nabla.source, a, kind)
     sp = classify(P, gens, st.delta, expans, st.partner)
+    stray = sorted(set(st.partner) - sp.P1)
+    if stray:
+        raise SpectraInputError("partner override key %r is not a P1 prime"
+                                % stray[0])
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
     if kind == "right":
@@ -332,7 +335,6 @@ def _step(cox, word, iv, P, gens, nabla, expans, st):
             raise SpectraError("none-step extension is not an isomorphism")
     else:
         word = word + (a,) if kind == "right" else (a,) + word
-        iv = part.interval_wbara
         nablat = ext.extend_iso(nabla, part, setup)
         sq = ext.commuting_square(nabla, nablat, part, setup)
         if not sq["ok"]:
@@ -343,7 +345,7 @@ def _step(cox, word, iv, P, gens, nabla, expans, st):
                    new_fibers_over_P3=sq["new_fibers_over_P3"])
     new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
     new_gens.update({newlab[q]: g for q, g in grown.items()})
-    return word, iv, setup.Ptilde, new_gens, nablat, rep
+    return word, setup.Ptilde, new_gens, nablat, rep
 
 
 # ---------------------------------------------------------------------------

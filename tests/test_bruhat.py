@@ -3,6 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
+from bruhatspec import poset as ps
 
 import oracle
 
@@ -104,8 +105,8 @@ def test_interval_order_matches_bruhat_leq_affine():
 @pytest.mark.parametrize("m,bound", [(A3, 5), (D4, 4), (AFF, 5)])
 def test_grow_matches_interval_from_scratch(m, bound):
     """[1, w] grown by a on the right or left by partition equals [1, wa] or
-    [1, aw] built from the empty word: elements, labels, ranks and Hasse
-    edges."""
+    [1, aw] built from the empty word: elements in order, labels, ranks and
+    Hasse edges."""
     count = 0
     for w in cx.elements_up_to_length(m, bound):
         iv = br.interval(m, w.word)
@@ -118,11 +119,9 @@ def test_grow_matches_interval_from_scratch(m, bound):
                 grown = br.partition(m, iv, a, side).interval_wbara
                 ref = br.interval(m, word)
                 assert grown.base == ref.base
-                assert grown.elements[:len(iv)] == iv.elements
-                assert set(grown.elements) == set(ref.elements)
-                P, Q = grown.to_poset(), ref.to_poset()
-                assert (P.labels, P.rank, P.hasse) == \
-                    (Q.labels, Q.rank, Q.hasse), (w, a, side)
+                assert grown.elements == ref.elements
+                assert (grown.labels, grown.rank, grown.hasse) == \
+                    (ref.labels, ref.rank, ref.hasse), (w, a, side)
                 count += 1
     assert count >= 60
 
@@ -130,15 +129,27 @@ def test_grow_matches_interval_from_scratch(m, bound):
 def test_grow_leaves_its_input_alone():
     """partition grows a copy of iv and leaves iv untouched."""
     iv = br.interval(A3, (2, 1))
-    before = (iv.elements, dict(iv.index), iv.down)
+    before = (iv.elements, dict(iv.position), iv.down)
     with pytest.raises(br.BruhatError,
                        match="wbar must not have a as right descent"):
         br.partition(A3, iv, 1, "right")
     with pytest.raises(br.BruhatError, match="side must be"):
         br.partition(A3, iv, 3, "up")
     grown = br.partition(A3, iv, 3, "left").interval_wbara
-    assert (iv.elements, iv.index, iv.down) == before
-    assert len(grown) == 2 * len(iv) and grown.index is not iv.index
+    assert (iv.elements, iv.position, iv.down) == before
+    assert len(grown) == 2 * len(iv) and grown.position is not iv.position
+
+
+@pytest.mark.parametrize("down, message", [
+    ([0b11, 0b11], "cycle"),
+    ([0b001, 0b011, 0b110], "not transitive"),
+], ids=["cyclic", "not-transitive"])
+def test_interval_rejects_a_non_order_when_built(down, message):
+    """A BruhatInterval is a LabeledPoset, so its order is checked as it is
+    built, whatever down-sets it is given."""
+    elems = [el(A2, w) for w in ((), (1,), (1, 2))][:len(down)]
+    with pytest.raises(ps.PosetError, match=message):
+        br.BruhatInterval(A2, elems[-1], elems, down)
 
 
 def test_partition_reads_products_off_its_letter_step(monkeypatch):
@@ -325,10 +336,18 @@ def test_check_lifting():
 
 
 def test_interval_to_poset_graded():
-    P = br.interval(A3, (2, 1, 3, 2)).to_poset()
+    iv = br.interval(A3, (2, 1, 3, 2))
+    P = iv.to_poset()
+    assert P is iv
     assert P.rank_profile() == (1, 3, 5, 4, 1)
     for a, b in P.hasse:
         assert P.rank[b] == P.rank[a] + 1
+    # sorted by (length, canonical word), labelled by the word
+    keys = [(w.length, w.word) for w in iv.elements]
+    assert keys == sorted(keys)
+    assert iv.labels == tuple(map(br.word_label, iv.elements))
+    assert all(iv.position[w] == i and iv.rank[i] == w.length
+               for i, w in enumerate(iv.elements))
 
 
 @given(st.lists(st.integers(1, 3), max_size=6),

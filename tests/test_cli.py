@@ -114,6 +114,8 @@ def test_pipeline_verification_failure(tmp_path, capsys):
      "rewrite value must be a non-empty symbol without \",\""),
     ({"var": "x1", "gen": 1, "rewrite": {"x2": ""}},
      "rewrite value must be a non-empty symbol"),
+    ({"var": "x1", "gen": 1, "partner": {"0": "0"}},
+     "step 1 (x1): partner override key '0' is not a P1 prime"),
 ])
 def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
                                                 message):

@@ -1,4 +1,5 @@
 import json
+import re
 import tracemalloc
 
 import pytest
@@ -203,6 +204,17 @@ def test_export_dot():
     assert chain.count("->") == 1
     with pytest.raises(ps.PosetError):
         ps.export(ps.two_chain(), "xml")
+
+
+def test_export_dot_labels_unescape_to_the_originals():
+    """Each DOT label is one well-formed string that reads back, under DOT's
+    escapes, as the label it came from."""
+    labels = ["x\\", 'y"', 'a\\"b', '"\\', "\\\\", "plain"]
+    text = ps.export(ps.build(labels, [(labels[0], labels[1])]), "dot")
+    quoted = re.findall(r'^  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];$', text,
+                        re.MULTILINE)
+    assert [int(i) for i, _ in quoted] == list(range(len(labels)))
+    assert [re.sub(r"\\(.)", r"\1", q) for _, q in quoted] == labels
 
 
 def test_labeled_poset_rejects_non_order():

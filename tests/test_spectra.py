@@ -163,6 +163,16 @@ def test_pipeline_builds_one_interval_and_grows_it(monkeypatch):
     assert len(res.final_poset) == 164
 
 
+def test_pipeline_interval_is_nablas_source():
+    """The interval a run grows is a BruhatInterval, the source of the final
+    nabla, and its own poset."""
+    res = sp.run_pipeline(sp.builtin("horton4"))
+    iv = res.nabla.source
+    assert isinstance(iv, br.BruhatInterval)
+    assert iv.base == cx.element_from_word(cx.builtin_matrix("D", 5), res.word)
+    assert iv.to_poset() is iv
+
+
 def test_pipeline_from_file(tmp_path):
     d = {"coxeter": "A2",
          "steps": [{"var": "x1", "gen": 1}, {"var": "x2", "gen": 2}],
