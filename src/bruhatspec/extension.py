@@ -100,17 +100,31 @@ def validate_setup(s):
         if not T.leq(s.phi[p], p):
             return fail("PhiTilde(%s) !<= %s" % (s.phi[p], p))
     px = sorted(s.Px)
-    for p in px:
-        for q in px:
-            if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
-                return fail("PhiTilde not an isomorphism on Px at (%s,%s)"
-                            % (p, q))
+    # The Px-isomorphism and mixed clauses ask, for every q in Px and every
+    # p, whether p <= q iff PhiTilde(p) <= PhiTilde(q): down(q) must be the
+    # preimage of down(PhiTilde(q)).  The pair scans run only on a mismatch,
+    # to name the first failing pair.
+    f = [T.index(s.phi[l]) for l in T.labels]
+    fiber = [0] * len(T)
+    for i, k in enumerate(f):
+        fiber[k] |= 1 << i
+    mismatch = any(
+        T.down[q] != sum(fiber[k] for k in ps._bits(T.down[f[q]]))
+        for q in map(T.index, px))
+    if mismatch:
+        for p in px:
+            for q in px:
+                if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
+                    return fail("PhiTilde not an isomorphism on Px at (%s,%s)"
+                                % (p, q))
     if len({s.phi[p] for p in px}) != len(px):
         return fail("PhiTilde not injective on Px")
-    for p in sorted(s.P):
-        for q in px:
-            if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
-                return fail("mixed comparison clause fails at (%s,%s)" % (p, q))
+    if mismatch:
+        for p in sorted(s.P):
+            for q in px:
+                if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
+                    return fail("mixed comparison clause fails at (%s,%s)"
+                                % (p, q))
     for p in sorted(labels):
         if s.phi[s.phi[p]] != s.phi[p]:
             return fail("PhiTilde not idempotent at %s" % (p,))

@@ -40,26 +40,12 @@ class LabeledPoset:
             raise PosetError("duplicate labels")
         if len(self.up) != n or any(not 0 <= u < 1 << n for u in self.up):
             raise PosetError("up-sets do not match the %d labels" % n)
-        down = [0] * n
-        hasse = []
-        for i, u in enumerate(self.up):
-            if not u >> i & 1:
-                raise PosetError("%r is not <= itself" % (self.labels[i],))
-            strict = u & ~(1 << i)
-            above = 0       # everything strictly above some j > i
-            for j in _bits(strict):
-                if self.up[j] >> i & 1:
-                    raise PosetError("cycle through %r and %r"
-                                     % (self.labels[i], self.labels[j]))
-                if self.up[j] & ~u:
-                    raise PosetError("order not transitive through %r"
-                                     % (self.labels[j],))
-                above |= self.up[j] & ~(1 << j)
-            for j in _bits(u):
-                down[j] |= 1 << i
-            hasse.extend((i, j) for j in _bits(strict & ~above))
-        self.down = tuple(down)
-        self.hasse = tuple(hasse)
+        found = _checked_covers(self.up)
+        if found is None:
+            _raise_order_fault(self.labels, self.up)
+        self.down, covers = found
+        self.hasse = tuple((i, j) for i, c in enumerate(covers)
+                           for j in _bits(c))
         if self.rank is not None:
             for a, b in self.hasse:
                 if self.rank[b] != self.rank[a] + 1:
@@ -84,6 +70,62 @@ class LabeledPoset:
         for i in range(len(self.labels)):
             prof[self.rank[i]] += 1
         return tuple(prof)
+
+
+def _checked_covers(up):
+    """(down, covers) of the order given by the up-sets `up`, where
+    covers[i] is the bitset of upper covers of i; None unless the order is
+    reflexive, antisymmetric and transitive.
+
+    Rows are visited by increasing up-set size.  In row i the lowest
+    remaining j of up(i) - {i} is taken, checked (i not in up(j), up(j)
+    inside up(i)) and all of up(j) is removed from what remains: such a j
+    has a strictly smaller up-set, so its own row has already passed and
+    vouches for everything above it.  Every cover of i is taken, and the
+    taken j that lie above another taken j are not covers.  So a row costs
+    a few int operations per cover rather than one per relation, and
+    `down` is built from the covers, bottom-up.
+    """
+    n = len(up)
+    if any(not u >> i & 1 for i, u in enumerate(up)):
+        return None
+    order = sorted(range(n), key=lambda i: up[i].bit_count())
+    covers = [0] * n
+    for i in order:
+        u = up[i]
+        rest = u ^ 1 << i
+        taken = above = 0
+        while rest:
+            low = rest & -rest
+            uj = up[low.bit_length() - 1]
+            if uj >> i & 1 or uj & ~u:
+                return None
+            taken |= low
+            above |= uj ^ low
+            rest &= ~uj
+        covers[i] = taken & ~above
+    down = [1 << i for i in range(n)]
+    for i in reversed(order):
+        for j in _bits(covers[i]):
+            down[j] |= down[i]
+    return tuple(down), covers
+
+
+def _raise_order_fault(labels, up):
+    """Raise the first fault of the up-sets `up`, scanning every relation
+    row by row: i <= i, then for each j above i no cycle and up(j) inside
+    up(i).  Run only once _checked_covers has found a fault, so that the
+    message names the same fault whatever the cover check met first."""
+    for i, u in enumerate(up):
+        if not u >> i & 1:
+            raise PosetError("%r is not <= itself" % (labels[i],))
+        for j in _bits(u & ~(1 << i)):
+            if up[j] >> i & 1:
+                raise PosetError("cycle through %r and %r"
+                                 % (labels[i], labels[j]))
+            if up[j] & ~u:
+                raise PosetError("order not transitive through %r"
+                                 % (labels[j],))
 
 
 def build(elements, relations, rank=None):
@@ -192,10 +234,11 @@ class PosetMap:
 
 
 def _preserves(P, Q, images):
-    """True iff i <= j in P implies images[i] <= images[j] in Q (labels)."""
+    """True iff i <= j in P implies images[i] <= images[j] in Q (labels).
+    P's order is the reflexive-transitive closure of its cover edges and
+    Q's is reflexive and transitive, so the cover edges suffice."""
     f = [Q.index(l) for l in images]
-    return all(Q.up[f[i]] >> f[j] & 1
-               for i, u in enumerate(P.up) for j in _bits(u))
+    return all(Q.up[f[i]] >> f[j] & 1 for i, j in P.hasse)
 
 
 def _signatures(P, block_of):

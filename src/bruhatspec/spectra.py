@@ -90,7 +90,8 @@ def in_ideal(m, gens, expansions=None, _seen=frozenset()):
 
 def classify(P, gens_of, delta, expansions=None, partner_override=None):
     """Split the primes of P into P3 (contain every delta image), P2
-    (delta-invariant), and P1 (the rest), with partners derived."""
+    (delta-invariant), and P1 (the rest), with partners derived.  The
+    split is validated where it is used, by ore_step."""
     expansions = expansions or {}
     all_images = [m for ms in delta.values() for m in ms]
     P1, P2, P3 = set(), set(), set()
@@ -104,10 +105,8 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
         else:
             P1.add(lab)
     partner = ext.derive_partners(P, P1, P2, partner_override)
-    sp = ext.SpectrumPartition(P, frozenset(P1), frozenset(P2), frozenset(P3),
-                               partner)
-    sp.validate()
-    return sp
+    return ext.SpectrumPartition(P, frozenset(P1), frozenset(P2),
+                                 frozenset(P3), partner)
 
 
 @dataclass
@@ -303,6 +302,13 @@ def _step(cox, word, P, gens, nabla, expans, st):
     if stray:
         raise SpectraInputError("partner override key %r is not a P1 prime"
                                 % stray[0])
+    covers = set(P.hasse) if st.partner else ()
+    wrong = sorted(p for p, q in st.partner.items()
+                   if q not in sp.P2 or (P.index(q), P.index(p)) not in covers)
+    if wrong:
+        raise SpectraInputError(
+            "partner override %r -> %r: the value must be a P2 prime that "
+            "the key covers" % (wrong[0], st.partner[wrong[0]]))
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
     if kind == "right":

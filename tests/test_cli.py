@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -125,6 +126,27 @@ def test_pipeline_malformed_step_is_usage_error(tmp_path, capsys, step,
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("partner, message", [
+    ({"x1": "x2"}, "partner override 'x1' -> 'x2': the value must be a P2 "
+                   "prime that the key covers"),
+    ({"x1": "0"}, None),
+])
+def test_pipeline_partner_override_value(tmp_path, capsys, partner, message):
+    """qmatrix2 with its last step's partner given: the P2 prime '0' that
+    'x1' covers is accepted, the real prime 'x2' is bad input."""
+    spec = json.loads(resources.files("bruhatspec").joinpath(
+        "data", "qmatrix2.json").read_text())
+    spec["steps"][3]["partner"] = partner
+    path = tmp_path / "partner.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    if message is None:
+        assert code == 0 and "final: 14 elements" in out
+    else:
+        assert code == 2 and out == ""
+        assert err == "error: pipeline 'qmatrix2', step 4 (x4): %s\n" % message
 
 
 @pytest.mark.parametrize("vars_, message", [

@@ -39,6 +39,54 @@ def test_validate_setup_phi_above_fail():
     assert not rep["ok"]
 
 
+def _setup(relations, P, Px, phi):
+    labels = sorted(set(P) | set(Px) | {x for r in relations for x in r})
+    return ext.SetupData(Ptilde=ps.build(labels, relations),
+                         P=frozenset(P), Px=frozenset(Px), phi=phi, iota={})
+
+
+# One SetupData per clause of validate_setup, in the order it checks them,
+# each breaking that clause and no clause checked before it, with the
+# message it must give.  Most break only their own clause.  A failing
+# "PhiTilde(p) <= p" always breaks the mixed or the idempotence clause as
+# well (take the mixed clause at (PhiTilde(p), p)).  The injectivity clause
+# never fails first: two x-primes over one prime would each lie below the
+# other by the Px-isomorphism clause, which antisymmetry forbids, so its
+# case is caught by that clause.
+CLAUSE_MUTANTS = [
+    (_setup([], {"t"}, {"t"}, {"t": "t"}),
+     "P, Px must partition Ptilde"),
+    (_setup([("c", "a"), ("a", "b")], {"c", "b"}, {"a"},
+            {"c": "c", "b": "b", "a": "c"}),
+     "Px is not an upper set of Ptilde"),
+    (_setup([("a", "b"), ("b", "bx")], {"a", "b"}, {"bx"},
+            {"a": "a", "b": "b", "bx": "b", "ghost": "a"}),
+     "PhiTilde is not total on Ptilde"),
+    (_setup([("a", "b"), ("b", "bx")], {"a", "b"}, {"bx"},
+            {"a": "a", "b": "b", "bx": "bx"}),
+     "PhiTilde image must lie in P"),
+    (_setup([("a", "x")], {"a", "b"}, {"x"}, {"a": "a", "b": "b", "x": "b"}),
+     "PhiTilde(b) !<= x"),
+    (_setup([("a", "b"), ("a", "ax"), ("b", "bx")], {"a", "b"},
+            {"ax", "bx"}, {"a": "a", "b": "b", "ax": "a", "bx": "b"}),
+     "PhiTilde not an isomorphism on Px at (ax,bx)"),
+    (_setup([("a", "x"), ("a", "y")], {"a"}, {"x", "y"},
+            {"a": "a", "x": "a", "y": "a"}),
+     "PhiTilde not an isomorphism on Px at (x,y)"),
+    (_setup([("a", "bx"), ("b", "bx")], {"a", "b"}, {"bx"},
+            {"a": "a", "b": "b", "bx": "b"}),
+     "mixed comparison clause fails at (a,bx)"),
+    (_setup([("a", "b"), ("b", "bx")], {"a", "b"}, {"bx"},
+            {"a": "a", "b": "a", "bx": "b"}),
+     "PhiTilde not idempotent at bx"),
+]
+
+
+@pytest.mark.parametrize("setup, message", CLAUSE_MUTANTS)
+def test_each_broken_setup_clause_gives_its_message(setup, message):
+    assert ext.validate_setup(setup) == {"ok": False, "failed": message}
+
+
 def test_derive_partners():
     P = ps.build(["0", "a", "b"], [("0", "a"), ("0", "b")])
     assert ext.derive_partners(P, {"a"}, {"0"}) == {"a": "0"}

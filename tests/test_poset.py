@@ -9,6 +9,8 @@ from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
 from bruhatspec import poset as ps
 
+import reference
+
 A2 = cx.builtin_matrix("A", 2)
 A3 = cx.builtin_matrix("A", 3)
 
@@ -315,3 +317,79 @@ def test_product_commutes_up_to_iso(d1, d2):
     Q = ps.build(labels2, [(a.upper(), b.upper()) for a, b in d2[1]])
     assert ps.find_isomorphism(ps.product(P, Q),
                                ps.product(Q, P)) is not None
+
+
+@st.composite
+def up_set_lists(draw):
+    """Up-set lists on n <= 10 labels: a drawn relation, its transitive
+    closure or not, oriented along a random linear order (acyclic, but
+    with the indices not a linear extension) or left as drawn (cycles
+    possible), then maybe with a reflexive bit dropped or one bit flipped;
+    with a rank that is random or absent."""
+    n = draw(st.integers(1, 10))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=3 * n))
+    if draw(st.booleans()):
+        height = draw(st.permutations(range(n)))
+        pairs = [(a, b) if height[a] < height[b] else (b, a)
+                 for a, b in pairs]
+    up = [1 << i for i in range(n)]
+    for a, b in pairs:
+        up[a] |= 1 << b
+    if draw(st.booleans()):
+        for k in range(n):
+            for i in range(n):
+                if up[i] >> k & 1:
+                    up[i] |= up[k]
+    if draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, n - 1))
+        up[i] &= ~(1 << i)
+    if draw(st.booleans()):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        up[i] ^= 1 << j
+    rank = draw(st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=n,
+                                              max_size=n)))
+    labels = [chr(ord("a") + i) for i in range(n)]
+    return labels, up, None if rank is None else dict(enumerate(rank))
+
+
+def _verdict(make):
+    try:
+        return make()
+    except ps.PosetError as e:
+        return str(e)
+
+
+@given(up_set_lists())
+@example((list("abc"), [0b011, 0b000, 0b100], None))         # b !<= b
+@example((list("abc"), [0b101, 0b110, 0b100], None))         # a, b < c
+@example((list("abc"), [0b111, 0b110, 0b110], None))         # cycle b, c
+@example((list("abcd"), [0b0001, 0b0010, 0b0101, 0b1101], None))  # d < c < a
+@settings(max_examples=200, deadline=None)
+def test_order_check_matches_the_relation_scan(data):
+    labels, up, rank = data
+
+    def fast():
+        P = ps.LabeledPoset(labels, up, rank)
+        return P.down, P.hasse
+    assert _verdict(fast) == _verdict(
+        lambda: reference.order_scan(labels, up, rank))
+
+
+@given(small_relations(), small_relations(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_cover_edge_map_check_matches_the_relation_scan(d1, d2, data):
+    P = ps.build(*d1)
+    Q = ps.build(*_upper(d2)) if data.draw(st.booleans()) else P
+    images = data.draw(st.permutations(Q.labels)) if len(Q) == len(P) and \
+        data.draw(st.booleans()) else \
+        data.draw(st.lists(st.sampled_from(Q.labels), min_size=len(P),
+                           max_size=len(P)))
+    assert ps._preserves(P, Q, images) == \
+        reference.preserves_scan(P, Q, images)
+    f = ps.PosetMap(P, Q, dict(zip(P.labels, images)))
+    inverse = {v: k for k, v in f.assignment.items()}
+    assert f.is_isomorphism == (
+        f.injective and f.surjective and
+        reference.preserves_scan(P, Q, images) and
+        reference.preserves_scan(Q, P, [inverse[l] for l in Q.labels]))
