@@ -96,10 +96,10 @@ def validate_setup(s):
         return fail("PhiTilde is not total on Ptilde")
     if not set(s.phi.values()) <= s.P:
         return fail("PhiTilde image must lie in P")
-    for p in s.Px:
+    px = sorted(s.Px)
+    for p in px:
         if not T.leq(s.phi[p], p):
             return fail("PhiTilde(%s) !<= %s" % (s.phi[p], p))
-    px = sorted(s.Px)
     # The Px-isomorphism and mixed clauses ask, for every q in Px and every
     # p, whether p <= q iff PhiTilde(p) <= PhiTilde(q): down(q) must be the
     # preimage of down(PhiTilde(q)).  The pair scans run only on a mismatch,

@@ -162,15 +162,9 @@ def product(P, Q):
 
 
 def disjoint_union(P, Q):
-    """Side-by-side union, no cross relations.  Colliding labels from Q get a
-    deterministic ' (2)' suffix."""
-    labels = list(P.labels)
-    taken = set(labels)
-    for l in Q.labels:
-        while l in taken:
-            l = l + " (2)"
-        taken.add(l)
-        labels.append(l)
+    """Side-by-side union, no cross relations.  The labels of P and Q must
+    be disjoint (LabeledPoset rejects duplicate labels)."""
+    labels = P.labels + Q.labels
     off = len(P)
     up = list(P.up) + [u << off for u in Q.up]
     rank = None
@@ -367,36 +361,23 @@ def pushout_square(m, wbar, a):
     part = br.partition(m, br.interval(m, wbar), a)
     wl = br.word_label
     Pw, Pwa = part.interval_wbar, part.interval_wbara
-    w2 = sorted(wl(w) for w in part.W2)
-    w3 = sorted(wl(w) for w in part.W3)
     by_label = dict(zip(Pwa.labels, Pwa.elements))
-
-    A = disjoint_union(induced(Pw, w3), product(induced(Pw, w2), two_chain()))
-    B = product(induced(Pw, w2 + w3), two_chain())
-
-    def times_a(label):
-        return wl(by_label[label].times_gen(a))
-
-    # nu1: identity on W3; (w,0) -> w; (w,1) -> w*a
-    def unpair(label):
-        base, eps = label[1:-1].rsplit(",", 1)
-        return base, eps
-    n1 = {}
-    n2 = {}
-    for l in A.labels:
-        if l in set(w3):
-            n1[l] = l
-            n2[l] = "(%s,0)" % l
-        else:
-            base, eps = unpair(l)
-            n1[l] = base if eps == "0" else times_a(base)
-            n2[l] = l
-    nu1 = PosetMap(A, Pw, n1)
-    nu2 = PosetMap(A, B, n2)
-    t = {}
-    for l in B.labels:
-        base, eps = unpair(l)
-        t[l] = base if eps == "0" else times_a(base)
+    I2 = induced(Pw, [wl(w) for w in part.W2])
+    I3 = induced(Pw, [wl(w) for w in part.W3])
+    I23 = induced(Pw, [wl(w) for w in part.W2 | part.W3])
+    A = disjoint_union(I3, product(I2, two_chain()))
+    B = product(I23, two_chain())
+    # w*a for each w in W2|W3, formed once, by the group's own product
+    wa = {l: wl(by_label[l].times_gen(a)) for l in I23.labels}
+    # product(Q, two_chain()) puts (w, eps) at 2*Q.index(w) + eps, so the
+    # images of its labels under (w,0) -> w, (w,1) -> w*a are, in order:
+    images = lambda Q: [x for l in Q.labels for x in (l, wa[l])]
+    # nu1: identity on W3, then W2 x 2 -> [1,wbar]; nu2: w in W3 -> (w,0),
+    # identity on W2 x 2; top: (W2|W3) x 2 -> [1,wbar*a]
+    nu1 = PosetMap(A, Pw, dict(zip(A.labels, I3.labels + tuple(images(I2)))))
+    w3_0 = [B.labels[2 * I23.index(l)] for l in I3.labels]
+    nu2 = PosetMap(A, B, dict(zip(A.labels, w3_0 + list(A.labels[len(I3):]))))
+    t = dict(zip(B.labels, images(I23)))
     top = PosetMap(B, Pwa, t)
     incl = PosetMap(Pw, Pwa, {l: l for l in Pw.labels})
 

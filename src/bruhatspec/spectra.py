@@ -9,7 +9,6 @@ poset against a Bruhat interval and extending the isomorphism.
 """
 
 import json
-import os
 import re
 from dataclasses import dataclass, field
 from importlib import resources
@@ -31,15 +30,11 @@ class SpectraInputError(SpectraError):
 
 @dataclass(frozen=True)
 class Monomial:
+    """A product of symbols; the empty product is the unit."""
     factors: tuple
-    unit: bool = False
-
-    def __post_init__(self):
-        if self.unit and self.factors:
-            raise SpectraError("unit monomial cannot have factors")
 
 
-UNIT = Monomial((), unit=True)
+UNIT = Monomial(())
 
 
 def parse_monomial(obj):
@@ -51,7 +46,9 @@ def parse_monomial(obj):
             not all(isinstance(f, str) for f in factors):
         raise SpectraError("a monomial is a list of strings or a "
                            "{unit, factors} object, got %r" % (obj,))
-    return Monomial(tuple(factors), unit)
+    if unit and factors:
+        raise SpectraError("unit monomial cannot have factors")
+    return Monomial(tuple(factors))
 
 
 def parse_monomials(items):
@@ -79,20 +76,21 @@ def symbol_in_ideal(sym, gens, expansions, _seen=frozenset()):
 
 
 def in_ideal(m, gens, expansions=None, _seen=frozenset()):
-    """Monomial membership in the ideal generated by `gens`: the unit is in
-    no proper ideal; otherwise some factor must lie in the ideal."""
+    """Monomial membership in the ideal generated by `gens`: some factor must
+    lie in the ideal, so the unit (no factors) is in no proper ideal."""
     if expansions is None:
         expansions = {}
-    if m.unit:
-        return False
     return any(symbol_in_ideal(s, gens, expansions, _seen) for s in m.factors)
 
 
 def classify(P, gens_of, delta, expansions=None, partner_override=None):
     """Split the primes of P into P3 (contain every delta image), P2
-    (delta-invariant), and P1 (the rest), with partners derived.  The
-    split is validated where it is used, by ore_step."""
+    (delta-invariant), and P1 (the rest), with partners derived.  A partner
+    override must send P1 primes to P2 primes they cover; otherwise it is
+    bad input (SpectraInputError).  The split is validated where it is
+    used, by ore_step."""
     expansions = expansions or {}
+    override = partner_override or {}
     all_images = [m for ms in delta.values() for m in ms]
     P1, P2, P3 = set(), set(), set()
     for lab in P.labels:
@@ -104,7 +102,16 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
             P2.add(lab)
         else:
             P1.add(lab)
-    partner = ext.derive_partners(P, P1, P2, partner_override)
+    covers = set(P.hasse) if override else ()
+    for p, q in sorted(override.items()):
+        if p not in P1:
+            raise SpectraInputError("partner override key %r is not a P1 "
+                                    "prime" % (p,))
+        if q not in P2 or (P.index(q), P.index(p)) not in covers:
+            raise SpectraInputError(
+                "partner override %r -> %r: the value must be a P2 prime "
+                "that the key covers" % (p, q))
+    partner = ext.derive_partners(P, P1, P2, override)
     return ext.SpectrumPartition(P, frozenset(P1), frozenset(P2),
                                  frozenset(P3), partner)
 
@@ -205,14 +212,31 @@ def _load_expect(expect):
 
 
 def load_pipeline(d, name=None):
+    """A PipelineSpec from its JSON dict.  Every rule that depends only on
+    the schedule is checked here, so run_pipeline meets only checks of the
+    mathematics."""
     cm = d["coxeter"]
     cox = cx.matrix_by_name(cm) if isinstance(cm, str) \
         else cx.CoxeterMatrix.from_json_dict(cm)
     steps = [_load_step(k, sd, cox) for k, sd in enumerate(d["steps"], 1)]
+    if not steps:
+        raise SpectraError("empty schedule")
+    letters = set()
     for k, st in enumerate(steps, 1):
+        where = "step %d (%s): " % (k, st.var)
         if any(st.var == prev.var for prev in steps[:k - 1]):
-            raise SpectraError("step %d (%s): var repeats an earlier step's"
-                               % (k, st.var))
+            raise SpectraError(where + "var repeats an earlier step's")
+        if k == 1 and (st.delta or st.gen is None):
+            raise SpectraError(where + "first step must adjoin a polynomial "
+                               "variable (delta = 0, with a Bruhat letter)")
+        if st.gen is None:
+            continue
+        if st.side == "left" and st.gen in letters:
+            raise SpectraError(where + "left step generator %d already "
+                               "occurs in wbar" % st.gen)
+        if st.side == "left" and st.delta:
+            raise SpectraError(where + "left steps require delta = 0")
+        letters.add(st.gen)
     return PipelineSpec(name=name or d.get("name", "pipeline"),
                         cox=cox, steps=steps,
                         expect=_load_expect(d.get("expect")))
@@ -228,11 +252,6 @@ def run_pipeline(spec):
 
     The interval [1, wbar] is built once, for the empty word, and is always
     the source of nabla; each lettered step grows it by one letter."""
-    if not spec.steps:
-        raise SpectraError("empty schedule")
-    if spec.steps[0].delta or spec.steps[0].gen is None:
-        raise SpectraError("first step must adjoin a polynomial variable "
-                           "(delta = 0, with a Bruhat letter)")
     cox = spec.cox
     word = ()
     P = ps.build(["0"], [], rank={0: 0})
@@ -276,39 +295,17 @@ def _step(cox, word, P, gens, nabla, expans, st):
     by extend_iso to a map from that interval, which checks hypotheses (a)
     and (b), and checks the contraction square.  A right step first
     re-finds nabla on [1,wbar] as a block-respecting isomorphism
-    (W1,W2,W3 -> P1,P2,P3); a left step needs a outside supp(wbar) and
-    delta = 0.  A step without a letter maps by iota . nabla, from the same
-    interval.
+    (W1,W2,W3 -> P1,P2,P3).  A step without a letter maps by iota . nabla,
+    from the same interval.  load_pipeline has checked the schedule: a left
+    letter is outside supp(wbar) and comes with delta = 0.
     """
-    unknown = sorted((set(st.partner) | set(st.partner.values()))
-                     - set(P.labels))
-    if unknown:
-        raise SpectraInputError("partner override names unknown prime %r"
-                                % unknown[0])
     a = st.gen
     kind = "none" if a is None else st.side
     part = None
     wl = br.word_label
-    if kind == "left":
-        if a in word:
-            raise SpectraError("left step generator %d already occurs in wbar"
-                               % a)
-        if st.delta:
-            raise SpectraError("left steps require delta = 0")
     if kind != "none":
         part = br.partition(cox, nabla.source, a, kind)
     sp = classify(P, gens, st.delta, expans, st.partner)
-    stray = sorted(set(st.partner) - sp.P1)
-    if stray:
-        raise SpectraInputError("partner override key %r is not a P1 prime"
-                                % stray[0])
-    covers = set(P.hasse) if st.partner else ()
-    wrong = sorted(p for p, q in st.partner.items()
-                   if q not in sp.P2 or (P.index(q), P.index(p)) not in covers)
-    if wrong:
-        raise SpectraInputError(
-            "partner override %r -> %r: the value must be a P2 prime that "
-            "the key covers" % (wrong[0], st.partner[wrong[0]]))
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
     if kind == "right":
@@ -357,9 +354,6 @@ def _step(cox, word, P, gens, nabla, expans, st):
 # ---------------------------------------------------------------------------
 # shipped pipelines
 
-_UNIT_JSON = {"unit": True, "factors": []}
-
-
 def _qaffine(n):
     if not 1 <= n <= 5:
         raise SpectraError("qaffine(n) supported for 1 <= n <= 5")
@@ -373,9 +367,9 @@ def _weyl(n):
         raise SpectraError("weyl(n) supported for 1 <= n <= 4")
     steps = [{"var": "x1", "gen": 1},
              {"var": "y1", "gen": None,
-              "delta": {"x1": [_UNIT_JSON]},
+              "delta": {"x1": [[]]},
               "rewrite": {"x1": "Omega1"},
-              "expansions": {"Omega1": [_UNIT_JSON, ["y1", "x1"]]}}]
+              "expansions": {"Omega1": [[], ["y1", "x1"]]}}]
     for k in range(2, n + 1):
         om, om_prev = "Omega%d" % k, "Omega%d" % (k - 1)
         xk, yk = "x%d" % k, "y%d" % k
@@ -427,15 +421,8 @@ def _normalize_name(name):
 
 def builtin(name):
     """Shipped pipeline by name: qaffine(n), weyl(n), horton(n), qmatrix2,
-    m2-ext-A3, m2-ext-affineA2.  A file <name>.json in $BRUHATSPEC_DATA
-    overrides the shipped definition."""
+    m2-ext-A3, m2-ext-affineA2."""
     name = _normalize_name(name)
-    data_dir = os.environ.get("BRUHATSPEC_DATA")
-    if data_dir:
-        path = os.path.join(data_dir, name + ".json")
-        if os.path.exists(path):
-            with open(path) as f:
-                return load_pipeline(json.load(f), name=name)
     if name in _DATA_FILES:
         text = resources.files(__package__).joinpath(
             "data", name + ".json").read_text()

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +250,68 @@ def test_left_partition_checks_its_laws():
         br.partition(A3, br.interval(A3, (1, 2)), 1, side="left")
     with pytest.raises(br.BruhatError, match="side must be"):
         br.partition(A3, br.interval(A3, (1, 2)), 3, side="up")
+
+
+def _swap_e_and_1(part):
+    """Swap e (W2) with 1 (W3), and their Phi preimages with them, so that
+    the image laws still hold but W3 holds the bottom."""
+    e, one = el(A3, ()), el(A3, (1,))
+    part.W2, part.W3 = part.W2 - {e} | {one}, part.W3 - {one} | {e}
+    part.phi[el(A3, (2,))], part.phi[el(A3, (1, 2))] = one, e
+
+
+def _e_also_in_w4(part):
+    # with Phi(e) = 1, Phi(W4) is still W3 and the unions are unchanged
+    e = el(A3, ())
+    part.W4 = part.W4 | {e}
+    part.phi[e] = el(A3, (1,))
+
+
+def _w3_w4_not_upper(part):
+    # a [1,wbar] with no relations hides the swap from the W3 clause, but
+    # not from the W3|W4 clause, which reads the order of [1,wbar*a]
+    _swap_e_and_1(part)
+    iv = part.interval_wbar
+    part.interval_wbar = br.BruhatInterval(
+        iv.cox, iv.base, iv.elements, [1 << i for i in range(len(iv))])
+
+
+def _1_in_w1(part):
+    # 1 is minimal in W3 and has no descent 2: put it in W1 and W2 (Phi
+    # fixes it), and send Phi(1.2) to 3, which 3.2 also goes to
+    one = el(A3, (1,))
+    part.W1, part.W2, part.W3 = part.W1 | {one}, part.W2 | {one}, \
+        part.W3 - {one}
+    part.phi[el(A3, (1, 2))] = el(A3, (3,))
+
+
+# One broken partition of [1, 2.1.3.2] in A3 (W1 = {2}, W2 = {e}, W3 =
+# [1, 2.1.3] - {e, 2}) per clause of _check_partition after the first, in
+# the order it checks them, each breaking no clause checked before it.  The
+# W3|W4 clause follows from the clauses before it when [1,wbar] carries the
+# order of [1,wbar*a], so its case changes that order.
+PARTITION_MUTANTS = [
+    (lambda part: part.phi.__setitem__(el(A3, (3, 2)), el(A3, ())),
+     "W3 != m_a(W4)"),
+    (lambda part: setattr(part, "interval_wbar", br.interval(A3, (2, 1))),
+     "W1|W2|W3 != [1,wbar]"),
+    (lambda part: setattr(part, "interval_wbara", part.interval_wbar),
+     "W1|..|W4 != [1,wbar*a]"),
+    (_swap_e_and_1, "W3 not upper in [1,wbar]"),
+    (_e_also_in_w4, "W4 not upper in [1,wbar*a]"),
+    (_w3_w4_not_upper, "W3|W4 not upper in [1,wbar*a]"),
+    (_1_in_w1, "W1|W4 != [1,wbar*a] cap W_a"),
+]
+
+
+@pytest.mark.parametrize("mutate, message", PARTITION_MUTANTS,
+                         ids=[m for _, m in PARTITION_MUTANTS])
+def test_each_broken_partition_clause_gives_its_message(mutate, message):
+    part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
+    br._check_partition(part)
+    mutate(part)
+    with pytest.raises(br.BruhatError, match="^%s$" % re.escape(message)):
+        br._check_partition(part)
 
 
 def test_phi_properties():

@@ -102,9 +102,9 @@ def test_pipeline_verification_failure(tmp_path, capsys):
     ({"var": "x1", "gen": 1, "rewrite": {"x1": 5}},
      "rewrite must map strings to strings"),
     ({"var": "x1", "gen": 1, "partner": {"x1": "nope"}},
-     "partner override names unknown prime"),
+     "step 1 (x1): partner override key 'x1' is not a P1 prime"),
     ({"var": "x1", "gen": 1, "partner": {"0": "nope"}},
-     "partner override names unknown prime 'nope'"),
+     "step 1 (x1): partner override key '0' is not a P1 prime"),
     ({"var": "0", "gen": 1}, "step 1 (0): var must be a non-empty symbol"),
     ({"var": "", "gen": 1}, "step 1 (): var must be a non-empty symbol"),
     ({"var": "a,b", "gen": 1},
@@ -162,6 +162,62 @@ def test_pipeline_repeated_var_is_usage_error(tmp_path, capsys, vars_,
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err and "Traceback" not in err
+
+
+FIRST_STEP = ("step 1 (x1): first step must adjoin a polynomial variable "
+              "(delta = 0, with a Bruhat letter)")
+
+
+@pytest.mark.parametrize("steps, message", [
+    ([], "empty schedule"),
+    ([{"var": "x1", "gen": 1, "delta": {"x1": [["x1"]]}}], FIRST_STEP),
+    ([{"var": "x1", "gen": None}], FIRST_STEP),
+    ([{"var": "x1", "gen": 1}, {"var": "y1", "gen": None},
+      {"var": "x2", "gen": 1, "side": "left"}],
+     "step 3 (x2): left step generator 1 already occurs in wbar"),
+    ([{"var": "x1", "gen": 1},
+      {"var": "x2", "gen": 2, "side": "left", "delta": {"x1": [["x1"]]}}],
+     "step 2 (x2): left steps require delta = 0"),
+], ids=["empty", "first-delta", "first-no-letter", "left-letter-used",
+        "left-delta"])
+def test_pipeline_malformed_schedule_is_usage_error(tmp_path, capsys, steps,
+                                                    message):
+    """Rules on the schedule alone are checked as it loads: exit 2, not a
+    verification failure."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"coxeter": "A2", "steps": steps}))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: cannot load pipeline %r: %s\n" % (str(path), message)
+
+
+def test_pipeline_left_step_without_letter_loads(tmp_path, capsys):
+    """Only lettered left steps have a letter to check: weyl1 with its
+    second step, which has no letter, marked left runs as weyl1 does."""
+    spec = {"coxeter": "A1", "steps": [
+        {"var": "x1", "gen": 1},
+        {"var": "y1", "gen": None, "side": "left", "delta": {"x1": [[]]},
+         "rewrite": {"x1": "Omega1"},
+         "expansions": {"Omega1": [[], ["y1", "x1"]]}}]}
+    path = tmp_path / "weyl1.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run(capsys, "pipeline", "--file", str(path))
+    assert code == 0 and "final: 2 elements" in out
+
+
+def test_pipeline_right_step_on_a_descent_is_verification_failure(
+        tmp_path, capsys):
+    """A right step whose letter is a right descent of wbar makes wbar*a
+    shorter.  Seeing that takes group arithmetic, which loading does not do,
+    so the step's partition rejects it as the pipeline runs."""
+    path = tmp_path / "descent.json"
+    path.write_text(json.dumps({"coxeter": "A3", "steps": [
+        {"var": "x1", "gen": 2}, {"var": "x2", "gen": 2}]}))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("verification failure: pipeline 'pipeline', "
+                          "step 2 (x2): ")
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("expect", [

@@ -1,9 +1,15 @@
+import os
+import re
+import subprocess
+import sys
+
 import pytest
 
 from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
 from bruhatspec import extension as ext
 from bruhatspec import poset as ps
+from bruhatspec import spectra
 
 A2 = cx.builtin_matrix("A", 2)
 A3 = cx.builtin_matrix("A", 3)
@@ -271,3 +277,122 @@ def test_commuting_square_weyl_fiber_over_partner():
     for t in setup.Ptilde.labels:
         fibers.setdefault(inv_iota[setup.phi[t]], set()).add(t)
     assert fibers == {"0": {"0", "Omega1"}}
+
+
+def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
+    """Two x-primes fail "PhiTilde(p) <= p"; the one named is the first in
+    label order, in every process."""
+    code = ("from bruhatspec import extension as ext, poset as ps\n"
+            "T = ps.build(['a', 'b', 'x', 'y'], [('a', 'x'), ('b', 'y')])\n"
+            "s = ext.SetupData(Ptilde=T, P=frozenset('ab'),\n"
+            "                  Px=frozenset('xy'), iota={},\n"
+            "                  phi={'a': 'a', 'b': 'b', 'x': 'b', 'y': 'a'})\n"
+            "print(ext.validate_setup(s)['failed'])\n")
+    src = os.path.dirname(os.path.dirname(ext.__file__))
+    outs = {subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src,
+                                "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")}
+    assert outs == {"PhiTilde(b) !<= x\n"}
+
+
+@pytest.mark.parametrize("sp, message", [
+    (ext.SpectrumPartition(chain2(), frozenset(), frozenset(["0"]),
+                           frozenset(), {}),
+     "P1|P2|P3 does not cover P"),
+    (ext.SpectrumPartition(chain2(), frozenset(["x1"]),
+                           frozenset(["0", "x1"]), frozenset(), {"x1": "0"}),
+     "P1/P2/P3 not disjoint"),
+    (ext.SpectrumPartition(chain2(), frozenset(["x1"]), frozenset(["0"]),
+                           frozenset(), {"x1": "x1"}),
+     "partner of 'x1' must be a P2 prime it covers"),
+], ids=["cover", "disjoint", "partner"])
+def test_each_broken_spectrum_partition_gives_its_message(sp, message):
+    with pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(message)):
+        sp.validate()
+
+
+@pytest.fixture
+def qmatrix2_last_step(monkeypatch):
+    """(nabla, part, setup) as run_pipeline hands them to extend_iso at the
+    last step of qmatrix2: W1 = {2}, W2 = {e}, and nabla sends 2 to x1,
+    whose copy in Ptilde is Dq, and e to 0."""
+    seen, extend_iso = [], ext.extend_iso
+    monkeypatch.setattr(ext, "extend_iso",
+                        lambda *args: seen.append(args) or extend_iso(*args))
+    spectra.run_pipeline(spectra.builtin("qmatrix2"))
+    nabla, part, setup = seen[-1]
+    assert nabla("2") == "x1" and setup.iota["x1"] == "Dq"
+    assert nabla("e") == "0" and setup.phi["Dq"] == "0"
+    return nabla, part, setup
+
+
+def _with(setup, **changes):
+    fields = dict(Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
+                  phi=dict(setup.phi), iota=setup.iota, source=setup.source)
+    return ext.SetupData(**{**fields, **changes})
+
+
+def test_extend_iso_rejects_a_nabla_that_is_no_isomorphism(
+        qmatrix2_last_step):
+    nabla, part, setup = qmatrix2_last_step
+    flat = ps.PosetMap(nabla.source, nabla.target,
+                       {l: "0" for l in nabla.source.labels})
+    with pytest.raises(ext.ExtensionError,
+                       match="^nabla is not an isomorphism$"):
+        ext.extend_iso(flat, part, setup)
+
+
+def test_extend_iso_hypothesis_b_failure(qmatrix2_last_step):
+    """PhiTilde(Dq) = Dq leaves PhiTilde(Px) alone, so (a) holds, but
+    PhiTilde(nabla(2)) is no longer nabla(Phi(2)) = nabla(e) = 0."""
+    nabla, part, setup = qmatrix2_last_step
+    bad = _with(setup)
+    bad.phi["Dq"] = "Dq"
+    with pytest.raises(ext.ExtensionError, match=re.escape(
+            "hypothesis (b) fails at 2: PhiTilde(nabla(w))=Dq, "
+            "nabla(Phi(w))=0")):
+        ext.extend_iso(nabla, part, bad)
+
+
+def test_extend_iso_rejects_an_extension_that_is_no_isomorphism(
+        qmatrix2_last_step):
+    """Hypotheses (a) and (b) read only labels and PhiTilde; a Ptilde with
+    the right labels and no order passes them, and the extension is then
+    checked as a map."""
+    nabla, part, setup = qmatrix2_last_step
+    T = setup.Ptilde
+    bad = _with(setup, Ptilde=ps.LabeledPoset(
+        T.labels, [1 << i for i in range(len(T))]))
+    with pytest.raises(ext.ExtensionError,
+                       match="^extended map is not an isomorphism$"):
+        ext.extend_iso(nabla, part, bad)
+
+
+def test_commuting_square_reports_each_failure(qmatrix2_last_step):
+    nabla, part, setup = qmatrix2_last_step
+    nablat = ext.extend_iso(nabla, part, setup)
+    ok = {"ok": True, "square_commutes": True, "at_most_2_1": True,
+          "new_fibers_over_P3": True}
+    assert ext.commuting_square(nabla, nablat, part, setup) == ok
+    # nablat with the images of 1 and 3 (both in W3) swapped
+    swapped = dict(nablat.assignment, **{"1": nablat("3"), "3": nablat("1")})
+    bad = ps.PosetMap(nablat.source, nablat.target, swapped)
+    assert ext.commuting_square(nabla, bad, part, setup) == \
+        dict(ok, ok=False, square_commutes=False)
+    # PhiTilde(x2) = 0 puts 0, Dq and x2 in one fiber, and leaves the
+    # x-prime over x2 without x2 in its fiber
+    three = _with(setup)
+    three.phi["x2"] = "0"
+    assert ext.commuting_square(nabla, nablat, part, three) == \
+        dict(ok, ok=False, square_commutes=False, at_most_2_1=False,
+             new_fibers_over_P3=False)
+    # a source partition whose P3 misses x2 no longer matches the fibers
+    # that hold an x-prime
+    src = setup.source
+    short = ext.SpectrumPartition(src.P, src.P1, src.P2, src.P3 - {"x2"},
+                                  src.partner)
+    assert ext.commuting_square(nabla, nablat, part,
+                                _with(setup, source=short)) == \
+        dict(ok, ok=False, new_fibers_over_P3=False)

@@ -1,11 +1,13 @@
 import itertools
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
+from bruhatspec import extension as ext
 from bruhatspec import poset as ps
 from bruhatspec import spectra as sp
 
@@ -19,8 +21,13 @@ def mon(*factors):
 
 
 def test_monomial_unit_invariant():
-    with pytest.raises(sp.SpectraError):
-        sp.Monomial(("x",), unit=True)
+    """The unit is the empty product; a unit object with factors is
+    rejected where it is parsed."""
+    with pytest.raises(sp.SpectraError,
+                       match="^unit monomial cannot have factors$"):
+        sp.parse_monomial({"unit": True, "factors": ["x"]})
+    assert sp.parse_monomial([]) == sp.parse_monomial({"unit": True}) \
+        == sp.UNIT == mon()
 
 
 def test_parse_monomial_forms():
@@ -191,6 +198,29 @@ def test_pipeline_expect_mismatch():
         sp.run_pipeline(sp.load_pipeline(d))
 
 
+def test_pipeline_rank_profile_mismatch():
+    d = {"coxeter": "A2",
+         "steps": [{"var": "x1", "gen": 1}, {"var": "x2", "gen": 2}],
+         "expect": {"size": 4, "rank_profile": [1, 1, 2]}}
+    with pytest.raises(sp.SpectraError, match=re.escape(
+            "pipeline 'pipeline': rank profile [1, 2, 1], expected "
+            "[1, 1, 2]")):
+        sp.run_pipeline(sp.load_pipeline(d))
+
+
+def test_failed_commuting_square_stops_the_step(monkeypatch):
+    """extend_iso's hypotheses imply the square, so no schedule makes it
+    fail; a report that says it failed must still stop the run."""
+    report = {"ok": False, "square_commutes": False, "at_most_2_1": True,
+              "new_fibers_over_P3": True}
+    monkeypatch.setattr(ext, "commuting_square", lambda *args: report)
+    with pytest.raises(sp.SpectraError) as e:
+        sp.run_pipeline(sp.builtin("qaffine1"))
+    assert type(e.value) is sp.SpectraError
+    assert str(e.value) == ("pipeline 'qaffine1', step 1 (x1): commuting "
+                            "square failed: %r" % (report,))
+
+
 def test_pipeline_failure_names_step():
     # a unit-valued delta forces P1 nonempty, so a plain right step must fail
     d = {"coxeter": "A2",
@@ -207,25 +237,6 @@ def test_first_step_must_be_polynomial():
                     "delta": {"x1": [["x1"]]}}]}
     with pytest.raises(sp.SpectraError):
         sp.run_pipeline(sp.load_pipeline(d))
-
-
-def test_data_dir_override(tmp_path, monkeypatch):
-    d = {"coxeter": "A1", "steps": [{"var": "x1", "gen": 1}],
-         "expect": {"size": 2}}
-    (tmp_path / "qmatrix2.json").write_text(json.dumps(d))
-    monkeypatch.setenv("BRUHATSPEC_DATA", str(tmp_path))
-    spec = sp.builtin("qmatrix2")
-    assert len(spec.steps) == 1   # the override, not the shipped file
-
-
-def test_data_dir_corrupt_override(tmp_path, monkeypatch):
-    bad = {"coxeter": "A3",
-           "steps": [{"var": "x1", "gen": 2},
-                     {"var": "x2", "gen": 2}]}   # repeats the descent
-    (tmp_path / "qmatrix2.json").write_text(json.dumps(bad))
-    monkeypatch.setenv("BRUHATSPEC_DATA", str(tmp_path))
-    with pytest.raises(sp.SpectraError, match="step 2"):
-        sp.run_pipeline(sp.builtin("qmatrix2"))
 
 
 def test_delta0_schedule_gives_boolean_lattice():
@@ -257,9 +268,10 @@ def test_final_poset_matches_interval():
      "step 2 \\(y1\\): a step without a Bruhat letter requires P3 = \\{\\}"),
 ])
 def test_step_guards(steps, message):
-    spec = sp.load_pipeline({"coxeter": "A2", "steps": steps})
+    """The left-step rules are checked as the schedule loads, the P3 rule
+    of a step without a letter as it runs."""
     with pytest.raises(sp.SpectraError, match=message):
-        sp.run_pipeline(spec)
+        sp.run_pipeline(sp.load_pipeline({"coxeter": "A2", "steps": steps}))
 
 
 def schedule_word(spec):
