@@ -11,13 +11,11 @@ from .bruhat import (BruhatError, BruhatInterval, BruhatPartition,
                      check_lifting, word_label)
 from .poset import (LabeledPoset, PosetMap, PosetError, build, product,
                     disjoint_union, two_chain, singleton, induced,
-                    is_upper_set, find_isomorphism, export, from_json,
-                    pushout_square)
+                    is_upper_set, find_isomorphism, export, pushout_square)
 from .extension import (ExtensionError, SpectrumPartition, SetupData,
-                        validate_setup, derive_partners, ore_step,
-                        extend_iso, commuting_square)
-from .spectra import (SpectraError, SpectraInputError, Monomial, UNIT,
-                      in_ideal, classify, load_pipeline, run_pipeline,
-                      builtin, height, label_of)
+                        validate_setup, ore_step, extend_iso,
+                        commuting_square)
+from .spectra import (SpectraError, SpectraInputError, in_ideal, classify,
+                      load_pipeline, run_pipeline, builtin, height, label_of)
 
 __version__ = "0.1.0"

@@ -58,7 +58,7 @@ class BruhatInterval(ps.LabeledPoset):
         self.elements = tuple(elements[i] for i in order)
         self.position = {w: k for k, w in enumerate(self.elements)}
         super().__init__(map(word_label, self.elements), up,
-                         {k: w.length for k, w in enumerate(self.elements)})
+                         [w.length for w in self.elements])
 
     def to_poset(self):
         """The interval itself: it is already a LabeledPoset."""
@@ -184,9 +184,7 @@ def _check_partition(part):
         raise BruhatError("W1|..|W4 != [1,wbar*a]")
     for name, S, ivs in (("W3", part.W3, iv), ("W4", part.W4, iva),
                          ("W3|W4", part.W3 | part.W4, iva)):
-        # S is upper iff nothing outside S lies above a member of S
-        mask = sum(1 << ivs.position[w] for w in S)
-        if any(d & mask for i, d in enumerate(ivs.down) if not mask >> i & 1):
+        if not ps.is_upper_set(ivs, map(word_label, S)):
             raise BruhatError("%s not upper in %s" % (
                 name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))
     w14 = part.W1 | part.W4

@@ -21,7 +21,8 @@ def _matrix(arg):
     try:
         return cx.matrix_by_name(arg)
     except cx.CoxeterError:
-        pass
+        if not os.path.exists(arg):
+            raise
     try:
         with open(arg) as f:
             return cx.CoxeterMatrix.from_json_dict(json.load(f))

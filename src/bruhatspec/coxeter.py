@@ -5,8 +5,7 @@ with a canonical (lexicographically least) reduced word.  All arithmetic is
 exact, so finite and affine groups are handled uniformly.
 """
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
 
 INF = 0  # Coxeter matrix entry m_ij = infinity (also the JSON encoding)
 
@@ -35,10 +34,13 @@ def _mat_mul(a, b):
 
 @dataclass(frozen=True)
 class CoxeterMatrix:
-    """Symmetric matrix of bond labels m_ij in {1,2,3,4,6,INF}, 1-based generators."""
+    """Symmetric matrix of bond labels m_ij in {1,2,3,4,6,INF}, 1-based
+    generators.  Equality and hashing read (n, entries)."""
 
     n: int
     entries: tuple
+    _reflections: tuple = field(default=None, init=False, compare=False,
+                                repr=False)
 
     def __post_init__(self):
         if self.n < 1 or len(self.entries) != self.n:
@@ -67,20 +69,26 @@ class CoxeterMatrix:
     def m(self, i, j):
         return self.entries[i - 1][j - 1]
 
-    def cartan(self):
-        C = [[2 if i == j else 0 for j in range(self.n)] for i in range(self.n)]
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                cij, cji = _CARTAN_PAIR[self.entries[i][j]]
-                C[i][j] = cij
-                C[j][i] = cji
-        return tuple(tuple(row) for row in C)
-
     def reflection(self, i):
-        """Matrix of the simple reflection s_i on the root lattice (i is 1-based)."""
+        """Matrix of the simple reflection s_i on the root lattice (i is
+        1-based).  All n are built on the first call and kept on the matrix,
+        so that making a matrix costs no more than checking it."""
         if not 1 <= i <= self.n:
             raise CoxeterError("invalid generator index %r" % (i,))
-        return _reflections(self)[i - 1]
+        if self._reflections is None:
+            # s_i(alpha_j) = alpha_j - c_ij alpha_i, c_ii = 2: only row i moves
+            n = self.n
+            rows = [[-1 if a == b else 0 for b in range(n)] for a in range(n)]
+            for a in range(n):
+                for b in range(a + 1, n):
+                    cab, cba = _CARTAN_PAIR[self.entries[a][b]]
+                    rows[a][b] = -cab
+                    rows[b][a] = -cba
+            ident = _identity(n)
+            object.__setattr__(self, "_reflections", tuple(
+                ident[:a] + (tuple(rows[a]),) + ident[a + 1:]
+                for a in range(n)))
+        return self._reflections[i - 1]
 
     def check_word(self, word):
         for letter in word:
@@ -94,19 +102,6 @@ class CoxeterMatrix:
     @classmethod
     def from_json_dict(cls, d):
         return cls(d["rank"], tuple(tuple(row) for row in d["m"]))
-
-
-@lru_cache(maxsize=None)
-def _reflections(cox):
-    C = cox.cartan()
-    n = cox.n
-    refls = []
-    for i in range(n):
-        M = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        for j in range(n):
-            M[i][j] -= C[i][j]
-        refls.append(tuple(tuple(row) for row in M))
-    return tuple(refls)
 
 
 def builtin_matrix(family, rank=None):
@@ -201,14 +196,13 @@ def _canonical_word(cox, matrix, matrix_inv):
     # (read off w^{-1}(alpha_i) <= 0, i.e. column i of the inverse matrix).
     n = cox.n
     ident = _identity(n)
-    refls = _reflections(cox)
     word = []
     M, Minv = matrix, matrix_inv
     while M != ident:
         for i in range(n):
             if all(Minv[r][i] <= 0 for r in range(n)):
                 word.append(i + 1)
-                S = refls[i]
+                S = cox.reflection(i + 1)
                 M = _mat_mul(S, M)
                 Minv = _mat_mul(Minv, S)
                 break

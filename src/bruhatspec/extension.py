@@ -48,26 +48,6 @@ class SpectrumPartition:
                                      % (p,))
 
 
-def derive_partners(P, P1, P2, override=None):
-    """partner(p) = the unique P2 prime covered by p; override wins per label."""
-    override = override or {}
-    covers = {}
-    for a, b in P.hasse:
-        covers.setdefault(P.labels[b], []).append(P.labels[a])
-    out = {}
-    for p in sorted(P1):
-        if p in override:
-            out[p] = override[p]
-            continue
-        cands = [q for q in covers.get(p, []) if q in P2]
-        if len(cands) != 1:
-            raise ExtensionError(
-                "partner of %r is ambiguous or missing (candidates %r)"
-                % (p, sorted(cands)))
-        out[p] = cands[0]
-    return out
-
-
 @dataclass
 class SetupData:
     """A poset Ptilde = P | Px with the projection PhiTilde, plus the
@@ -156,8 +136,8 @@ def ore_step(sp, new_label, relabel=None):
     lift = lambda u: sum(x_bit.get(i, 0) for i in ps._bits(u))
     up = [u | lift(P.up[P.index(sp.partner.get(l, l))])
           for l, u in zip(P.labels, P.up)] + [lift(P.up[i]) for i in x_bit]
-    rank = None if P.rank is None else {
-        **P.rank, **{n + k: P.rank[i] + 1 for k, i in enumerate(x_bit)}}
+    rank = None if P.rank is None else \
+        P.rank + tuple(P.rank[i] + 1 for i in x_bit)
     Ptilde = ps.LabeledPoset([old[l] for l in P.labels] + [new[q] for q in p3],
                              up, rank)
     phi = {old[l]: old[sp.partner.get(l, l)] for l in P.labels}
@@ -191,8 +171,8 @@ def extend_iso(nabla, part, s):
         raise ExtensionError(
             "hypothesis (a) fails: nabla(W3) = %r but PhiTilde(Px) = %r"
             % (sorted(img_w3), sorted(img_px)))
-    for w in sorted(part.W1 | part.W2, key=lambda x: (x.length, x.word)):
-        if s.phi[nab(w)] != nab(phi[w]):
+    for w in part.interval_wbar.elements:   # W1|W2|W3 by (length, word)
+        if w not in part.W3 and s.phi[nab(w)] != nab(phi[w]):
             raise ExtensionError(
                 "hypothesis (b) fails at %s: PhiTilde(nabla(w))=%s, nabla(Phi(w))=%s"
                 % (wl(w), s.phi[nab(w)], nab(phi[w])))

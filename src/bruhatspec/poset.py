@@ -25,7 +25,8 @@ class LabeledPoset:
     is set iff i <= j; `down[i]` is its transpose.  The order is checked to
     be reflexive, antisymmetric and transitive, and `hasse` (the cover pairs
     (i, j), sorted) is read off `up`.  `rank` is optional; when present
-    every cover edge must raise it by exactly 1.
+    it is a tuple indexed by position, like `labels`, and every cover edge
+    must raise it by exactly 1.
     """
 
     __slots__ = ("labels", "up", "down", "hasse", "rank", "_index")
@@ -33,13 +34,18 @@ class LabeledPoset:
     def __init__(self, labels, up, rank=None):
         self.labels = tuple(labels)
         self.up = tuple(up)
-        self.rank = dict(rank) if rank is not None else None
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         n = len(self.labels)
         if len(self._index) != n:
             raise PosetError("duplicate labels")
         if len(self.up) != n or any(not 0 <= u < 1 << n for u in self.up):
             raise PosetError("up-sets do not match the %d labels" % n)
+        if isinstance(rank, dict):
+            raise PosetError("rank must be a sequence by position, not a dict")
+        self.rank = None if rank is None else tuple(rank)
+        if self.rank is not None and len(self.rank) != n:
+            raise PosetError("rank has %d entries for the %d labels"
+                             % (len(self.rank), n))
         found = _checked_covers(self.up)
         if found is None:
             _raise_order_fault(self.labels, self.up)
@@ -65,10 +71,9 @@ class LabeledPoset:
     def rank_profile(self):
         if self.rank is None:
             raise PosetError("poset has no rank function")
-        top = max(self.rank.values(), default=0)
-        prof = [0] * (top + 1)
-        for i in range(len(self.labels)):
-            prof[self.rank[i]] += 1
+        prof = [0] * (max(self.rank, default=0) + 1)
+        for r in self.rank:
+            prof[r] += 1
         return tuple(prof)
 
 
@@ -156,8 +161,7 @@ def product(P, Q):
           for up_p in P.up for uq in Q.up]
     rank = None
     if P.rank is not None and Q.rank is not None:
-        rank = {i * m + j: P.rank[i] + Q.rank[j]
-                for i in range(len(P)) for j in range(m)}
+        rank = [rp + rq for rp in P.rank for rq in Q.rank]
     return LabeledPoset(labels, up, rank)
 
 
@@ -169,18 +173,16 @@ def disjoint_union(P, Q):
     up = list(P.up) + [u << off for u in Q.up]
     rank = None
     if P.rank is not None and Q.rank is not None:
-        rank = dict(P.rank)
-        for j, r in Q.rank.items():
-            rank[off + j] = r
+        rank = P.rank + Q.rank
     return LabeledPoset(labels, up, rank)
 
 
 def two_chain():
-    return build(["0", "1"], [("0", "1")], rank={0: 0, 1: 1})
+    return build(["0", "1"], [("0", "1")], rank=(0, 1))
 
 
 def singleton(label="*"):
-    return build([label], [], rank={0: 0})
+    return build([label], [], rank=(0,))
 
 
 def induced(P, labels):
@@ -210,6 +212,10 @@ class PosetMap:
         missing = set(source.labels) - set(self.assignment)
         if missing:
             raise PosetError("map not total; missing %r" % (sorted(missing)[:3],))
+        extra = set(self.assignment) - set(source.labels)
+        if extra:
+            raise PosetError("map has keys outside its source: %r"
+                             % (sorted(extra, key=str)[:3],))
         for v in self.assignment.values():
             target.index(v)  # raises on unknown target label
         self.order_preserving = _preserves(
@@ -399,17 +405,3 @@ def pushout_square(m, wbar, a):
                        "interval_wbar": len(Pw), "interval_wbara": len(Pwa)}
     return checks
 
-
-def from_json(text):
-    d = json.loads(text)
-    labels = [None] * len(d["elements"])
-    rank = {}
-    has_rank = True
-    for e in d["elements"]:
-        labels[e["id"]] = e["label"]
-        if e.get("rank") is None:
-            has_rank = False
-        else:
-            rank[e["id"]] = e["rank"]
-    rels = [(labels[a], labels[b]) for a, b in d["hasse"]]
-    return build(labels, rels, rank=rank if has_rank else None)

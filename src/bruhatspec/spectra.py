@@ -28,17 +28,9 @@ class SpectraInputError(SpectraError):
     failed check."""
 
 
-@dataclass(frozen=True)
-class Monomial:
-    """A product of symbols; the empty product is the unit."""
-    factors: tuple
-
-
-UNIT = Monomial(())
-
-
 def parse_monomial(obj):
-    """A list of symbol strings, or a {"unit", "factors"} object."""
+    """A list of symbol strings, or a {"unit", "factors"} object, read as
+    the tuple of its symbols: a product, the empty one being the unit."""
     unit, factors = False, obj
     if isinstance(obj, dict) and set(obj) <= {"unit", "factors"}:
         unit, factors = obj.get("unit", False), obj.get("factors", [])
@@ -48,7 +40,7 @@ def parse_monomial(obj):
                            "{unit, factors} object, got %r" % (obj,))
     if unit and factors:
         raise SpectraError("unit monomial cannot have factors")
-    return Monomial(tuple(factors))
+    return tuple(factors)
 
 
 def parse_monomials(items):
@@ -80,15 +72,15 @@ def in_ideal(m, gens, expansions=None, _seen=frozenset()):
     lie in the ideal, so the unit (no factors) is in no proper ideal."""
     if expansions is None:
         expansions = {}
-    return any(symbol_in_ideal(s, gens, expansions, _seen) for s in m.factors)
+    return any(symbol_in_ideal(s, gens, expansions, _seen) for s in m)
 
 
 def classify(P, gens_of, delta, expansions=None, partner_override=None):
     """Split the primes of P into P3 (contain every delta image), P2
-    (delta-invariant), and P1 (the rest), with partners derived.  A partner
-    override must send P1 primes to P2 primes they cover; otherwise it is
-    bad input (SpectraInputError).  The split is validated where it is
-    used, by ore_step."""
+    (delta-invariant), and P1 (the rest).  The partner of a P1 prime is the
+    P2 prime it covers, unique unless an override names one; an override
+    that is not such a prime is bad input (SpectraInputError).  ore_step
+    validates the split."""
     expansions = expansions or {}
     override = partner_override or {}
     all_images = [m for ms in delta.values() for m in ms]
@@ -102,16 +94,26 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
             P2.add(lab)
         else:
             P1.add(lab)
-    covers = set(P.hasse) if override else ()
+    below = {p: [] for p in P1}     # the P2 primes each P1 prime covers
+    for a, b in P.hasse:
+        if P.labels[b] in P1 and P.labels[a] in P2:
+            below[P.labels[b]].append(P.labels[a])
     for p, q in sorted(override.items()):
         if p not in P1:
             raise SpectraInputError("partner override key %r is not a P1 "
                                     "prime" % (p,))
-        if q not in P2 or (P.index(q), P.index(p)) not in covers:
+        if q not in below[p]:
             raise SpectraInputError(
                 "partner override %r -> %r: the value must be a P2 prime "
                 "that the key covers" % (p, q))
-    partner = ext.derive_partners(P, P1, P2, override)
+    partner = {}
+    for p in sorted(P1):
+        cands = [override[p]] if p in override else below[p]
+        if len(cands) != 1:
+            raise SpectraError(
+                "partner of %r is ambiguous or missing (candidates %r)"
+                % (p, sorted(cands)))
+        partner[p] = cands[0]
     return ext.SpectrumPartition(P, frozenset(P1), frozenset(P2),
                                  frozenset(P3), partner)
 
@@ -254,7 +256,7 @@ def run_pipeline(spec):
     the source of nabla; each lettered step grows it by one letter."""
     cox = spec.cox
     word = ()
-    P = ps.build(["0"], [], rank={0: 0})
+    P = ps.singleton("0")
     gens = {"0": frozenset()}
     nabla = ps.PosetMap(br.interval(cox, ()), P, {"e": "0"})
     expans = {}

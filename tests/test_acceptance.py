@@ -6,10 +6,13 @@ built; the frozen values are re-derived against that oracle here where the
 group is symmetric.
 """
 
+import re
+
 import pytest
 
 from bruhatspec import acceptance
 from bruhatspec import bruhat as br
+from bruhatspec import cli
 from bruhatspec import coxeter as cx
 
 import oracle
@@ -85,8 +88,27 @@ def test_criterion_12_lifting_fuzz():
     _run(12)
 
 
-def test_run_all_reports_every_criterion():
+def test_run_all_reports_every_criterion(monkeypatch, capsys):
+    """run_all reports a line per criterion, PASS or FAIL with the error,
+    and selftest exits 1 on a failure; each real criterion has its own
+    test above."""
+    assert [c[0] for c in acceptance.CRITERIA] == list(range(1, 13))
+
+    def broken():
+        raise AssertionError("no such figure")
+    passing = [(1, "stub", lambda: "fine")]
+    monkeypatch.setattr(acceptance, "CRITERIA",
+                        passing + [(2, "broken stub", broken)])
     lines = []
-    assert acceptance.run_all(emit=lines.append)
-    assert len(lines) == 12
-    assert all(l.startswith("PASS") for l in lines)
+    assert acceptance.run_all(emit=lines.append) is False
+    assert len(lines) == 2
+    assert re.fullmatch(r"PASS  1  stub :: fine \(\d+\.\d\ds\)", lines[0])
+    assert re.fullmatch(r"FAIL  2  broken stub :: AssertionError: "
+                        r"no such figure \(\d+\.\d\ds\)", lines[1])
+    assert cli.main(["selftest"]) == 1
+    monkeypatch.setattr(acceptance, "CRITERIA", passing)
+    assert acceptance.run_all(emit=lambda line: None) is True
+    assert cli.main(["selftest"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [l.split(" ::")[0] for l in out] == [
+        "PASS  1  stub", "FAIL  2  broken stub", "PASS  1  stub"]

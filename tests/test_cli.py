@@ -37,6 +37,9 @@ def test_unknown_verb(capsys):
 def test_unknown_matrix(capsys):
     code, _, err = run(capsys, "interval", "--matrix", "Z9", "--word", "1")
     assert code == 2
+    # a builtin family with a bad rank says why, not "no such file"
+    code, _, err = run(capsys, "interval", "--matrix", "D3", "--word", "1")
+    assert (code, err) == (2, "error: type D requires at least 4 nodes\n")
 
 
 def test_partition_output(capsys):

@@ -132,6 +132,24 @@ def test_braid_relations_all_builtins():
                     m, ((i, j) * m.m(i, j))).is_identity()
 
 
+def test_dihedral_reflections():
+    """For each bond m, the reflections kept on the matrix generate the
+    dihedral group of order 2m: alternating words are reduced up to length
+    m and (s1 s2)^m is the identity (an infinite bond has no such m)."""
+    for bond in (2, 3, 4, 6, cx.INF):
+        m = cx.CoxeterMatrix(2, ((1, bond), (bond, 1)))
+        alternating = lambda k: (1, 2) * (k // 2) + (1,) * (k % 2)
+        for k in range((bond or 8) + 1):
+            assert cx.is_reduced(m, alternating(k)), (bond, k)
+        if bond:
+            assert not cx.is_reduced(m, alternating(bond + 1))
+            assert cx.element_from_word(m, (1, 2) * bond).is_identity()
+        same = cx.CoxeterMatrix(2, ((1, bond), (bond, 1)))
+        assert same == m and hash(same) == hash(m)
+        assert repr(m) == "CoxeterMatrix(n=2, entries=((1, %d), (%d, 1)))" \
+            % (bond, bond)
+
+
 def test_length_changes_by_one():
     for w in cx.elements_up_to_length(A3, 4):
         for i in A3.generators:

@@ -94,15 +94,24 @@ def test_each_broken_setup_clause_gives_its_message(setup, message):
 
 
 def test_derive_partners():
-    P = ps.build(["0", "a", "b"], [("0", "a"), ("0", "b")])
-    assert ext.derive_partners(P, {"a"}, {"0"}) == {"a": "0"}
-    with pytest.raises(ext.ExtensionError):
-        ext.derive_partners(P, {"a"}, set())      # no candidate
+    """The partner of a P1 prime is the P2 prime it covers: an error when
+    there is none or more than one, unless the override names one."""
+    gens = {l: frozenset(l) - {"0"} for l in "01ac"}
+    delta = {"a": (("c",),)}       # a is P1, c is P3, 0 and 1 are P2
+    P = ps.build(["0", "a", "c"], [("0", "a"), ("0", "c")])
+    sp = spectra.classify(P, gens, delta)
+    assert (sp.P1, sp.P2, sp.partner) == ({"a"}, {"0"}, {"a": "0"})
+    C = ps.build(["c", "a"], [("c", "a")])
+    with pytest.raises(spectra.SpectraError, match=re.escape(
+            "partner of 'a' is ambiguous or missing (candidates [])")):
+        spectra.classify(C, gens, delta)
     D = ps.build(["0", "1", "a"], [("0", "a"), ("1", "a")])
-    with pytest.raises(ext.ExtensionError):
-        ext.derive_partners(D, {"a"}, {"0", "1"})  # ambiguous
-    assert ext.derive_partners(D, {"a"}, {"0", "1"},
-                               override={"a": "0"}) == {"a": "0"}
+    with pytest.raises(spectra.SpectraError, match=re.escape(
+            "partner of 'a' is ambiguous or missing (candidates "
+            "['0', '1'])")):
+        spectra.classify(D, gens, delta)
+    assert spectra.classify(D, gens, delta,
+                            partner_override={"a": "1"}).partner == {"a": "1"}
 
 
 def sp_all_p3(P):
@@ -217,11 +226,10 @@ def test_extend_iso_left_step():
 
 
 def test_ore_step_ranks_new_primes():
-    P = ps.build(["0", "x1"], [("0", "x1")], rank={0: 0, 1: 1})
+    P = ps.build(["0", "x1"], [("0", "x1")], rank=(0, 1))
     setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
     T = setup.Ptilde
-    assert {T.labels[i]: r for i, r in T.rank.items()} == \
-        {"0": 0, "x1": 1, "0,x2": 1, "x1,x2": 2}
+    assert (T.labels, T.rank) == (("0", "x1", "0,x2", "x1,x2"), (0, 1, 1, 2))
     assert ext.ore_step(sp_all_p3(chain2()), lambda q: q + "+").Ptilde.rank \
         is None
 

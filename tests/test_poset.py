@@ -179,6 +179,19 @@ def test_poset_map_flags():
     assert not flip.order_preserving and not flip.is_isomorphism
 
 
+def test_poset_map_rejects_keys_outside_its_source():
+    """An extra key would count towards injectivity, or be looked up in a
+    target that lacks its image."""
+    source = ps.build(["a", "b"], [])
+    for target in (ps.build(["x", "y", "z"], []), ps.build(["x", "y"], [])):
+        with pytest.raises(ps.PosetError, match=re.escape(
+                "map has keys outside its source: ['c']")):
+            ps.PosetMap(source, target, {"a": "x", "b": "x", "c": "y"})
+    with pytest.raises(ps.PosetError, match=re.escape(
+            "outside its source: ['c', 'd', 'e']")):
+        ps.PosetMap(source, source, {l: "a" for l in "abcdef"})
+
+
 def test_pushout_square_examples():
     assert ps.pushout_square(A2, (1,), 2)["ok"]
     rep = ps.pushout_square(A3, (2, 1, 3), 2)
@@ -193,8 +206,9 @@ def test_export_json_schema_and_roundtrip():
     d = json.loads(text)
     assert [e["id"] for e in d["elements"]] == list(range(8))
     assert d["hasse"] == sorted(d["hasse"])
-    Q = ps.from_json(text)
-    assert ps.find_isomorphism(P, Q) is not None
+    assert [e["label"] for e in d["elements"]] == list(P.labels)
+    assert [e["rank"] for e in d["elements"]] == list(P.rank)
+    assert d["hasse"] == [list(e) for e in P.hasse]
     assert ps.export(P, "json") == text   # deterministic
 
 
@@ -234,7 +248,17 @@ def test_labeled_poset_rejects_non_order():
 
 def test_rank_validation():
     with pytest.raises(ps.PosetError):
-        ps.build(["a", "b"], [("a", "b")], rank={0: 0, 1: 2})
+        ps.build(["a", "b"], [("a", "b")], rank=(0, 2))
+    with pytest.raises(ps.PosetError,
+                       match="^rank has 1 entries for the 2 labels$"):
+        ps.build(["a", "b"], [("a", "b")], rank=(0,))
+    with pytest.raises(ps.PosetError, match="^rank has 3 entries"):
+        ps.build(["a", "b"], [("a", "b")], rank=[0, 1, 7])
+    for rank in ({0: 0}, {0: 0, 1: 1}, {0: 0, 1: 1, 5: 7}):
+        with pytest.raises(ps.PosetError, match="not a dict"):
+            ps.build(["a", "b"], [("a", "b")], rank=rank)
+    P = ps.build(["a", "b"], [("a", "b")], rank=[0, 1])
+    assert P.rank == (0, 1) and P.rank_profile() == (1, 1)
 
 
 @st.composite
@@ -349,7 +373,7 @@ def up_set_lists(draw):
     rank = draw(st.one_of(st.none(), st.lists(st.integers(0, 3), min_size=n,
                                               max_size=n)))
     labels = [chr(ord("a") + i) for i in range(n)]
-    return labels, up, None if rank is None else dict(enumerate(rank))
+    return labels, up, rank
 
 
 def _verdict(make):
