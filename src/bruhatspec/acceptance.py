@@ -144,15 +144,10 @@ ALL_PIPELINES = ("qaffine1", "qaffine2", "qaffine3", "qaffine4", "qaffine5",
 
 
 def criterion_10():
-    checked = 0
-    for name in ALL_PIPELINES:
-        for rep in pipeline(name).steps:
-            if rep["kind"] == "none":
-                continue  # no Bruhat letter: no square to check
-            assert rep["square_commutes"], (name, rep)
-            assert rep["at_most_2_1"], (name, rep)
-            assert rep["new_fibers_over_P3"], (name, rep)
-            checked += 1
+    # run_pipeline checks the square of every step with a Bruhat letter and
+    # raises at the first that fails
+    checked = sum(rep["kind"] != "none"
+                  for name in ALL_PIPELINES for rep in pipeline(name).steps)
     return "%d steps: square commutes, x-prime fibers sit over P3" % checked
 
 

@@ -62,24 +62,22 @@ class SetupData:
 
 
 def validate_setup(s):
-    """Check every SetupData clause; returns {'ok': bool, 'failed': str|None}."""
-    def fail(msg):
-        return {"ok": False, "failed": msg}
-
+    """Check every SetupData clause; raises ExtensionError naming the first
+    that fails."""
     T = s.Ptilde
     labels = set(T.labels)
     if s.P | s.Px != labels or s.P & s.Px:
-        return fail("P, Px must partition Ptilde")
+        raise ExtensionError("P, Px must partition Ptilde")
     if not ps.is_upper_set(T, s.Px):
-        return fail("Px is not an upper set of Ptilde")
+        raise ExtensionError("Px is not an upper set of Ptilde")
     if set(s.phi) != labels:
-        return fail("PhiTilde is not total on Ptilde")
+        raise ExtensionError("PhiTilde is not total on Ptilde")
     if not set(s.phi.values()) <= s.P:
-        return fail("PhiTilde image must lie in P")
+        raise ExtensionError("PhiTilde image must lie in P")
     px = sorted(s.Px)
     for p in px:
         if not T.leq(s.phi[p], p):
-            return fail("PhiTilde(%s) !<= %s" % (s.phi[p], p))
+            raise ExtensionError("PhiTilde(%s) !<= %s" % (s.phi[p], p))
     # The Px-isomorphism and mixed clauses ask, for every q in Px and every
     # p, whether p <= q iff PhiTilde(p) <= PhiTilde(q): down(q) must be the
     # preimage of down(PhiTilde(q)).  The pair scans run only on a mismatch,
@@ -95,27 +93,26 @@ def validate_setup(s):
         for p in px:
             for q in px:
                 if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
-                    return fail("PhiTilde not an isomorphism on Px at (%s,%s)"
-                                % (p, q))
+                    raise ExtensionError(
+                        "PhiTilde not an isomorphism on Px at (%s,%s)" % (p, q))
     if len({s.phi[p] for p in px}) != len(px):
-        return fail("PhiTilde not injective on Px")
+        raise ExtensionError("PhiTilde not injective on Px")
     if mismatch:
         for p in sorted(s.P):
             for q in px:
                 if T.leq(p, q) != T.leq(s.phi[p], s.phi[q]):
-                    return fail("mixed comparison clause fails at (%s,%s)"
-                                % (p, q))
+                    raise ExtensionError(
+                        "mixed comparison clause fails at (%s,%s)" % (p, q))
     for p in sorted(labels):
         if s.phi[s.phi[p]] != s.phi[p]:
-            return fail("PhiTilde not idempotent at %s" % (p,))
-    return {"ok": True, "failed": None}
+            raise ExtensionError("PhiTilde not idempotent at %s" % (p,))
 
 
 def ore_step(sp, new_label, relabel=None):
     """One Ore-extension step at the poset level.
 
     Ptilde = (copy of P, labels passed through `relabel`) together with a new
-    prime q_x for each q in P3 (label from `new_label`), its up-sets read off
+    prime q_x for each q in P3 (label new_label[q]), its up-sets read off
     P's: old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3
     and partner() on P1; q_x <= q'_x iff q <= q'; no new <= old relations.
     A ranked P gives q_x rank(q) + 1.  LabeledPoset rejects a result that is
@@ -124,8 +121,6 @@ def ore_step(sp, new_label, relabel=None):
     sp.validate()
     P = sp.P
     relabel = relabel or {}
-    if callable(new_label):
-        new_label = {q: new_label(q) for q in sp.P3}
     old = {l: relabel.get(l, l) for l in P.labels}
     p3 = sorted(sp.P3)
     new = {q: new_label[q] for q in p3}
@@ -146,9 +141,7 @@ def ore_step(sp, new_label, relabel=None):
                       P=frozenset(old.values()),
                       Px=frozenset(new.values()),
                       phi=phi, iota=dict(old), source=sp)
-    rep = validate_setup(setup)
-    if not rep["ok"]:
-        raise ExtensionError("ore_step produced invalid setup: %s" % rep["failed"])
+    validate_setup(setup)
     return setup
 
 
@@ -192,7 +185,8 @@ def extend_iso(nabla, part, s):
 def commuting_square(nabla, nablat, part, s):
     """Verify PsiTilde . nablatilde = nabla . Phi elementwise, that PsiTilde
     is at most 2-1, and that the fibers containing an x-prime sit exactly
-    over P3, each of size exactly 2.
+    over the source's P3, each of size exactly 2; raises ExtensionError
+    naming every clause that fails.
 
     PsiTilde is PhiTilde read back through iota into the previous poset's
     labels; Phi is the partition's.
@@ -200,25 +194,19 @@ def commuting_square(nabla, nablat, part, s):
     wl = br.word_label
     inv_iota = {v: k for k, v in s.iota.items()}
     psi = {t: inv_iota[s.phi[t]] for t in s.Ptilde.labels}
-    square = all(psi[nablat(wl(w))] == nabla(wl(v))
-                 for w, v in part.phi.items())
     fibers = {}
     for t in s.Ptilde.labels:
         fibers.setdefault(psi[t], set()).add(t)
-    at_most_2 = all(len(f) <= 2 for f in fibers.values())
-    p3 = set(s.source.P3) if s.source is not None else None
-    if p3 is None:
-        new_fibers_ok = None
-    else:
-        with_new = {b for b, f in fibers.items() if f & s.Px}
-        new_fibers_ok = (with_new == p3 and
-                         all(fibers[b] == {s.iota[b], _the(fibers[b] & s.Px)}
-                             for b in with_new))
-    ok = square and at_most_2 and (new_fibers_ok is not False)
-    return {"ok": ok, "square_commutes": square, "at_most_2_1": at_most_2,
-            "new_fibers_over_P3": new_fibers_ok}
-
-
-def _the(single):
-    (x,) = single
-    return x
+    with_new = {b for b, f in fibers.items() if f & s.Px}
+    checks = {
+        "square_commutes": all(psi[nablat(wl(w))] == nabla(wl(v))
+                               for w, v in part.phi.items()),
+        "at_most_2_1": all(len(f) <= 2 for f in fibers.values()),
+        # an old label is never an x-prime, so a fiber that holds one and
+        # has two elements is {iota(b), the x-prime over b}
+        "new_fibers_over_P3": with_new == s.source.P3 and
+        all(len(fibers[b]) == 2 and s.iota[b] in fibers[b] for b in with_new),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise ExtensionError("commuting square fails: " + ", ".join(failed))

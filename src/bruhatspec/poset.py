@@ -46,6 +46,10 @@ class LabeledPoset:
         if self.rank is not None and len(self.rank) != n:
             raise PosetError("rank has %d entries for the %d labels"
                              % (len(self.rank), n))
+        for lab, r in zip(self.labels, self.rank or ()):
+            if type(r) is not int or r < 0:
+                raise PosetError("rank of %r must be a non-negative integer, "
+                                 "got %r" % (lab, r))
         found = _checked_covers(self.up)
         if found is None:
             _raise_order_fault(self.labels, self.up)
@@ -62,7 +66,10 @@ class LabeledPoset:
         return len(self.labels)
 
     def index(self, label):
-        return self._index[label]
+        try:
+            return self._index[label]
+        except KeyError:
+            raise PosetError("unknown label %r" % (label,)) from None
 
     def leq(self, a, b):
         """Compare by label."""
@@ -216,8 +223,8 @@ class PosetMap:
         if extra:
             raise PosetError("map has keys outside its source: %r"
                              % (sorted(extra, key=str)[:3],))
-        for v in self.assignment.values():
-            target.index(v)  # raises on unknown target label
+        # _preserves looks up every image, so an unknown target label
+        # raises there
         self.order_preserving = _preserves(
             source, target, [self.assignment[l] for l in source.labels])
         image = set(self.assignment.values())

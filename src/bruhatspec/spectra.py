@@ -256,17 +256,15 @@ def run_pipeline(spec):
     the source of nabla; each lettered step grows it by one letter."""
     cox = spec.cox
     word = ()
-    P = ps.singleton("0")
     gens = {"0": frozenset()}
-    nabla = ps.PosetMap(br.interval(cox, ()), P, {"e": "0"})
+    nabla = ps.PosetMap(br.interval(cox, ()), ps.singleton("0"), {"e": "0"})
     expans = {}
     reports = []
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            word, P, gens, nabla, rep = _step(cox, word, P, gens, nabla,
-                                              expans, st)
+            word, gens, nabla, rep = _step(cox, word, gens, nabla, expans, st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             err = SpectraInputError if isinstance(e, SpectraInputError) \
@@ -274,6 +272,7 @@ def run_pipeline(spec):
             raise err("pipeline %r, step %d (%s): %s"
                       % (spec.name, idx + 1, st.var, e)) from e
         reports.append({"step": idx + 1, "var": st.var, **rep})
+    P = nabla.target
     exp = spec.expect
     if "size" in exp and len(P) != exp["size"]:
         raise SpectraError("pipeline %r: expected %d elements, got %d"
@@ -286,10 +285,11 @@ def run_pipeline(spec):
     return PipelineResult(spec.name, word, P, nabla, gens, reports)
 
 
-def _step(cox, word, P, gens, nabla, expans, st):
+def _step(cox, word, gens, nabla, expans, st):
     """One Ore step: from nabla: [1,wbar] -> P, whose source is the
-    BruhatInterval [1,wbar], to the next word, poset, generator sets and
-    isomorphism.  Returns (word, P, gens, nabla, report).
+    BruhatInterval [1,wbar], to the next word, generator sets and
+    isomorphism, whose target is the next poset.  Returns (word, gens,
+    nabla, report).
 
     Every step classifies P and builds the ranked next poset by ore_step.  A
     step with a letter a partitions [1, wbar*a] (right) or [1, a*wbar]
@@ -303,6 +303,7 @@ def _step(cox, word, P, gens, nabla, expans, st):
     """
     a = st.gen
     kind = "none" if a is None else st.side
+    P = nabla.target
     part = None
     wl = br.word_label
     if kind != "none":
@@ -327,9 +328,6 @@ def _step(cox, word, P, gens, nabla, expans, st):
     setup = ext.ore_step(sp, newlab,
                          {p: label_of(g) for p, g in rewritten.items()})
     rep = {"kind": kind, "gen": a,
-           "hypothesis_a": None, "hypothesis_b": None,
-           "square_commutes": None, "at_most_2_1": None,
-           "new_fibers_over_P3": None,
            "sizes": {"P": len(sp.P), "P1": len(sp.P1), "P2": len(sp.P2),
                      "P3": len(sp.P3), "new": len(setup.Ptilde)}}
     if part is None:
@@ -341,16 +339,10 @@ def _step(cox, word, P, gens, nabla, expans, st):
     else:
         word = word + (a,) if kind == "right" else (a,) + word
         nablat = ext.extend_iso(nabla, part, setup)
-        sq = ext.commuting_square(nabla, nablat, part, setup)
-        if not sq["ok"]:
-            raise SpectraError("commuting square failed: %r" % (sq,))
-        rep.update(hypothesis_a=True, hypothesis_b=True,
-                   square_commutes=sq["square_commutes"],
-                   at_most_2_1=sq["at_most_2_1"],
-                   new_fibers_over_P3=sq["new_fibers_over_P3"])
+        ext.commuting_square(nabla, nablat, part, setup)
     new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
     new_gens.update({newlab[q]: g for q, g in grown.items()})
-    return word, setup.Ptilde, new_gens, nablat, rep
+    return word, new_gens, nablat, rep
 
 
 # ---------------------------------------------------------------------------

@@ -27,22 +27,23 @@ def minimal_setup():
 
 
 def test_validate_setup_pass():
-    assert ext.validate_setup(minimal_setup())["ok"]
+    assert ext.validate_setup(minimal_setup()) is None
 
 
 def test_validate_setup_upper_set_fail():
     s = minimal_setup()
     s.P, s.Px = s.Px, s.P
-    rep = ext.validate_setup(s)
-    assert not rep["ok"] and "upper set" in rep["failed"]
+    with pytest.raises(ext.ExtensionError,
+                       match="^Px is not an upper set of Ptilde$"):
+        ext.validate_setup(s)
 
 
 def test_validate_setup_phi_above_fail():
     T = ps.build(["p", "q", "r"], [("p", "q"), ("p", "r")])
     s = ext.SetupData(Ptilde=T, P=frozenset(["p", "q"]), Px=frozenset(["r"]),
                       phi={"p": "p", "q": "q", "r": "q"}, iota={})
-    rep = ext.validate_setup(s)
-    assert not rep["ok"]
+    with pytest.raises(ext.ExtensionError, match="^PhiTilde\\(q\\) !<= r$"):
+        ext.validate_setup(s)
 
 
 def _setup(relations, P, Px, phi):
@@ -90,7 +91,8 @@ CLAUSE_MUTANTS = [
 
 @pytest.mark.parametrize("setup, message", CLAUSE_MUTANTS)
 def test_each_broken_setup_clause_gives_its_message(setup, message):
-    assert ext.validate_setup(setup) == {"ok": False, "failed": message}
+    with pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(message)):
+        ext.validate_setup(setup)
 
 
 def test_derive_partners():
@@ -119,9 +121,15 @@ def sp_all_p3(P):
                                  frozenset(P.labels), {})
 
 
+def ore(sp, label_of_new, **kwargs):
+    """ore_step with the new label of each P3 prime q given as a function
+    of q."""
+    return ext.ore_step(sp, {q: label_of_new(q) for q in sp.P3}, **kwargs)
+
+
 def test_ore_step_delta0_gives_product():
     P = chain2()
-    setup = ext.ore_step(sp_all_p3(P), lambda q: q + "+x")
+    setup = ore(sp_all_p3(P), lambda q: q + "+x")
     assert len(setup.Ptilde) == 4
     prod = ps.product(P, ps.two_chain())
     assert ps.find_isomorphism(setup.Ptilde, prod) is not None
@@ -129,7 +137,7 @@ def test_ore_step_delta0_gives_product():
     assert len(set(iota.values())) == len(P)
     assert all(setup.Ptilde.leq(iota[p], iota[q])
                for p in P.labels for q in P.labels if P.leq(p, q))
-    assert ext.validate_setup(setup)["ok"]
+    ext.validate_setup(setup)
 
 
 def test_ore_step_unit_delta_weyl_base():
@@ -141,7 +149,7 @@ def test_ore_step_unit_delta_weyl_base():
     assert len(setup.Ptilde) == 2
     assert sorted(setup.Ptilde.labels) == ["0", "Omega1"]
     assert setup.phi["Omega1"] == "0"   # projection through the partner
-    assert ext.validate_setup(setup)["ok"]
+    ext.validate_setup(setup)
 
 
 def test_ore_step_qmatrix_sizes():
@@ -160,7 +168,7 @@ def test_ore_step_qmatrix_sizes():
     P3 = frozenset(lab(s) for s in subsets if s & {"x2", "x3"})
     sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]), P3,
                                {"x1": "0"})
-    setup = ext.ore_step(sp, lambda q: q + ",x4", relabel={"x1": "Dq"})
+    setup = ore(sp, lambda q: q + ",x4", relabel={"x1": "Dq"})
     assert len(setup.Ptilde) == 14
     iv = br.interval(A3, (2, 1, 3, 2)).to_poset()
     assert ps.find_isomorphism(setup.Ptilde, iv) is not None
@@ -176,15 +184,13 @@ def test_ore_step_partner_missing():
 
 def test_extend_iso_trivial():
     part = br.partition(A2, br.interval(A2, ()), 1)
-    setup = ext.ore_step(sp_all_p3(ps.build(["0"], [])),
-                         lambda q: "x1")
+    setup = ore(sp_all_p3(ps.build(["0"], [])), lambda q: "x1")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), ps.build(["0"], []),
                         {"e": "0"})
     nablat = ext.extend_iso(nabla, part, setup)
     assert nablat.is_isomorphism
     assert nablat("e") == "0" and nablat("1") == "x1"
-    rep = ext.commuting_square(nabla, nablat, part, setup)
-    assert rep["ok"]
+    ext.commuting_square(nabla, nablat, part, setup)
 
 
 def test_extend_iso_hypothesis_a_failure():
@@ -193,7 +199,7 @@ def test_extend_iso_hypothesis_a_failure():
     P = chain2()
     sp = ext.SpectrumPartition(P, frozenset(), frozenset(),
                                frozenset(P.labels), {})
-    setup = ext.ore_step(sp, lambda q: q + "+x")
+    setup = ore(sp, lambda q: q + "+x")
     # nabla maps W3 onto P, but swap labels so nabla(W3) != PhiTilde(Px)
     bad_setup = ext.SetupData(
         Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
@@ -210,13 +216,13 @@ def test_extend_iso_left_step():
     # [1, 2*1] in A2 by left multiplication: W3 = [1, 1], W4 = 2*[1, 1]
     part = br.partition(A2, br.interval(A2, (1,)), 2, side="left")
     P = chain2()
-    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ore(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
                         {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
     assert nablat.is_isomorphism
     assert nablat("2") == "0,x2" and nablat("2.1") == "x1,x2"
-    assert ext.commuting_square(nabla, nablat, part, setup)["ok"]
+    ext.commuting_square(nabla, nablat, part, setup)
     bad = ext.SetupData(Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
                         phi=dict(setup.phi), iota=setup.iota,
                         source=setup.source)
@@ -227,10 +233,10 @@ def test_extend_iso_left_step():
 
 def test_ore_step_ranks_new_primes():
     P = ps.build(["0", "x1"], [("0", "x1")], rank=(0, 1))
-    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ore(sp_all_p3(P), lambda q: q + ",x2")
     T = setup.Ptilde
     assert (T.labels, T.rank) == (("0", "x1", "0,x2", "x1,x2"), (0, 1, 1, 2))
-    assert ext.ore_step(sp_all_p3(chain2()), lambda q: q + "+").Ptilde.rank \
+    assert ore(sp_all_p3(chain2()), lambda q: q + "+").Ptilde.rank \
         is None
 
 
@@ -245,27 +251,26 @@ def test_ore_step_rejects_non_transitive_order():
                                {"p": "u", "p'": "t"})
     sp.validate()
     with pytest.raises(ps.PosetError, match="order not transitive"):
-        ext.ore_step(sp, lambda q: q + "x")
+        ore(sp, lambda q: q + "x")
 
 
 def test_extend_iso_delta0_step():
     # quantum affine step n=2: extend the 2-chain across s2
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
-    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ore(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
                         {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
     assert nablat.is_isomorphism
     assert nablat("2") == "0,x2"
-    rep = ext.commuting_square(nabla, nablat, part, setup)
-    assert rep["ok"] and rep["at_most_2_1"] and rep["new_fibers_over_P3"]
+    ext.commuting_square(nabla, nablat, part, setup)
 
 
 def test_extend_iso_restriction_formula():
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
-    setup = ext.ore_step(sp_all_p3(P), lambda q: q + ",x2")
+    setup = ore(sp_all_p3(P), lambda q: q + ",x2")
     nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
                         {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
@@ -295,7 +300,10 @@ def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
             "s = ext.SetupData(Ptilde=T, P=frozenset('ab'),\n"
             "                  Px=frozenset('xy'), iota={},\n"
             "                  phi={'a': 'a', 'b': 'b', 'x': 'b', 'y': 'a'})\n"
-            "print(ext.validate_setup(s)['failed'])\n")
+            "try:\n"
+            "    ext.validate_setup(s)\n"
+            "except ext.ExtensionError as e:\n"
+            "    print(e)\n")
     src = os.path.dirname(os.path.dirname(ext.__file__))
     outs = {subprocess.run([sys.executable, "-c", code], check=True,
                            capture_output=True, text=True,
@@ -381,26 +389,27 @@ def test_extend_iso_rejects_an_extension_that_is_no_isomorphism(
 def test_commuting_square_reports_each_failure(qmatrix2_last_step):
     nabla, part, setup = qmatrix2_last_step
     nablat = ext.extend_iso(nabla, part, setup)
-    ok = {"ok": True, "square_commutes": True, "at_most_2_1": True,
-          "new_fibers_over_P3": True}
-    assert ext.commuting_square(nabla, nablat, part, setup) == ok
+    ext.commuting_square(nabla, nablat, part, setup)
+
+    def fails(*clauses):
+        return pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(
+            "commuting square fails: " + ", ".join(clauses)))
+
     # nablat with the images of 1 and 3 (both in W3) swapped
     swapped = dict(nablat.assignment, **{"1": nablat("3"), "3": nablat("1")})
     bad = ps.PosetMap(nablat.source, nablat.target, swapped)
-    assert ext.commuting_square(nabla, bad, part, setup) == \
-        dict(ok, ok=False, square_commutes=False)
+    with fails("square_commutes"):
+        ext.commuting_square(nabla, bad, part, setup)
     # PhiTilde(x2) = 0 puts 0, Dq and x2 in one fiber, and leaves the
     # x-prime over x2 without x2 in its fiber
     three = _with(setup)
     three.phi["x2"] = "0"
-    assert ext.commuting_square(nabla, nablat, part, three) == \
-        dict(ok, ok=False, square_commutes=False, at_most_2_1=False,
-             new_fibers_over_P3=False)
+    with fails("square_commutes", "at_most_2_1", "new_fibers_over_P3"):
+        ext.commuting_square(nabla, nablat, part, three)
     # a source partition whose P3 misses x2 no longer matches the fibers
     # that hold an x-prime
     src = setup.source
     short = ext.SpectrumPartition(src.P, src.P1, src.P2, src.P3 - {"x2"},
                                   src.partner)
-    assert ext.commuting_square(nabla, nablat, part,
-                                _with(setup, source=short)) == \
-        dict(ok, ok=False, new_fibers_over_P3=False)
+    with fails("new_fibers_over_P3"):
+        ext.commuting_square(nabla, nablat, part, _with(setup, source=short))

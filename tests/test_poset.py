@@ -192,6 +192,16 @@ def test_poset_map_rejects_keys_outside_its_source():
         ps.PosetMap(source, source, {l: "a" for l in "abcdef"})
 
 
+def test_unknown_label_is_a_poset_error():
+    """A label the poset lacks is named, whether it is a map's value or
+    the member of a subset."""
+    chain = ps.two_chain()
+    with pytest.raises(ps.PosetError, match="^unknown label 'zzz'$"):
+        ps.PosetMap(chain, chain, {"0": "zzz", "1": "1"})
+    with pytest.raises(ps.PosetError, match="^unknown label 'zz'$"):
+        ps.is_upper_set(chain, ["zz"])
+
+
 def test_pushout_square_examples():
     assert ps.pushout_square(A2, (1,), 2)["ok"]
     rep = ps.pushout_square(A3, (2, 1, 3), 2)
@@ -257,6 +267,14 @@ def test_rank_validation():
     for rank in ({0: 0}, {0: 0, 1: 1}, {0: 0, 1: 1, 5: 7}):
         with pytest.raises(ps.PosetError, match="not a dict"):
             ps.build(["a", "b"], [("a", "b")], rank=rank)
+    for rank, bad in (((-1, 0), -1), ((0, 2.5), 2.5), ((0, True), True),
+                      ((0, "1"), "1")):
+        with pytest.raises(ps.PosetError, match=re.escape(
+                "must be a non-negative integer, got %r" % (bad,))):
+            ps.LabeledPoset(["a", "b"], [1, 2], rank)
+    with pytest.raises(ps.PosetError, match=re.escape(
+            "rank of 'a' must be a non-negative integer, got -1")):
+        ps.LabeledPoset(["a"], [1], rank=(-1,))
     P = ps.build(["a", "b"], [("a", "b")], rank=[0, 1])
     assert P.rank == (0, 1) and P.rank_profile() == (1, 1)
 

@@ -159,6 +159,16 @@ def test_step_reports_shape():
         assert r["sizes"]["new"] == r["sizes"]["P"] + r["sizes"]["P3"]
 
 
+@pytest.mark.parametrize("name", ["qmatrix2", "weyl3"])
+def test_step_report_keys_and_final_poset(name):
+    """A step reports only what varies from step to step, and the final
+    poset is the target of the final nabla."""
+    res = sp.run_pipeline(sp.builtin(name))
+    for r in res.steps:
+        assert set(r) == {"step", "var", "kind", "gen", "sizes"}
+    assert res.final_poset is res.nabla.target
+
+
 def test_pipeline_builds_one_interval_and_grows_it(monkeypatch):
     """Each lettered step grows the previous step's [1, wbar] by one letter,
     so a run builds an interval from a word only once, for ()."""
@@ -210,15 +220,15 @@ def test_pipeline_rank_profile_mismatch():
 
 def test_failed_commuting_square_stops_the_step(monkeypatch):
     """extend_iso's hypotheses imply the square, so no schedule makes it
-    fail; a report that says it failed must still stop the run."""
-    report = {"ok": False, "square_commutes": False, "at_most_2_1": True,
-              "new_fibers_over_P3": True}
-    monkeypatch.setattr(ext, "commuting_square", lambda *args: report)
+    fail; a square that fails must still stop the run."""
+    def fails(*args):
+        raise ext.ExtensionError("commuting square fails: square_commutes")
+    monkeypatch.setattr(ext, "commuting_square", fails)
     with pytest.raises(sp.SpectraError) as e:
         sp.run_pipeline(sp.builtin("qaffine1"))
     assert type(e.value) is sp.SpectraError
     assert str(e.value) == ("pipeline 'qaffine1', step 1 (x1): commuting "
-                            "square failed: %r" % (report,))
+                            "square fails: square_commutes")
 
 
 def test_pipeline_failure_names_step():
