@@ -5,8 +5,6 @@ with a canonical (lexicographically least) reduced word.  All arithmetic is
 exact, so finite and affine groups are handled uniformly.
 """
 
-from dataclasses import dataclass, field
-
 INF = 0  # Coxeter matrix entry m_ij = infinity (also the JSON encoding)
 
 _ALLOWED_OFFDIAG = {2, 3, 4, 6, INF}
@@ -32,35 +30,50 @@ def _mat_mul(a, b):
     )
 
 
-@dataclass(frozen=True)
 class CoxeterMatrix:
     """Symmetric matrix of bond labels m_ij in {1,2,3,4,6,INF}, 1-based
-    generators.  Equality and hashing read (n, entries)."""
+    generators.  Immutable; equality and hashing read (n, entries)."""
 
-    n: int
-    entries: tuple
-    _reflections: tuple = field(default=None, init=False, compare=False,
-                                repr=False)
-
-    def __post_init__(self):
-        if self.n < 1 or len(self.entries) != self.n:
+    def __init__(self, n, entries):
+        if n < 1 or len(entries) != n:
             raise CoxeterError("rank/entry shape mismatch")
-        for i in range(self.n):
-            row = self.entries[i]
-            if len(row) != self.n:
+        for i in range(n):
+            row = entries[i]
+            if len(row) != n:
                 raise CoxeterError("entries must be square")
             if row[i] != 1:
                 raise CoxeterError("diagonal entries must be 1")
-            for j in range(self.n):
+            for j in range(n):
                 if i == j:
                     continue
-                if row[j] != self.entries[j][i]:
+                if row[j] != entries[j][i]:
                     raise CoxeterError("Coxeter matrix must be symmetric")
                 if row[j] not in _ALLOWED_OFFDIAG:
                     raise CoxeterError(
                         "non-crystallographic bond label %r at (%d,%d)"
                         % (row[j], i + 1, j + 1)
                     )
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_reflections", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("CoxeterMatrix is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("CoxeterMatrix is immutable")
+
+    # GroupElement's == and hash call these on every comparison
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.entries) == (other.n, other.entries)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.n, self.entries))
+
+    def __repr__(self):
+        return "CoxeterMatrix(n=%r, entries=%r)" % (self.n, self.entries)
 
     @property
     def generators(self):

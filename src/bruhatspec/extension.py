@@ -10,8 +10,6 @@ the contraction diagram PsiTilde . nablatilde = nabla . Phi, with Phi the
 partition's.  Right and left steps take the same path.
 """
 
-from dataclasses import dataclass
-
 from . import bruhat as br
 from . import poset as ps
 
@@ -20,16 +18,16 @@ class ExtensionError(ValueError):
     pass
 
 
-@dataclass
 class SpectrumPartition:
     """P split into non-delta-invariant (P1), delta-invariant (P2), and
     delta(R)-containing (P3) primes, with the P2-partner of each P1 prime."""
 
-    P: ps.LabeledPoset
-    P1: frozenset
-    P2: frozenset
-    P3: frozenset
-    partner: dict
+    def __init__(self, P, P1, P2, P3, partner):
+        self.P = P              # ps.LabeledPoset
+        self.P1 = P1            # frozensets of labels
+        self.P2 = P2
+        self.P3 = P3
+        self.partner = partner  # P1 label -> P2 label
 
     def validate(self):
         blocks = [self.P1, self.P2, self.P3]
@@ -48,17 +46,18 @@ class SpectrumPartition:
                                      % (p,))
 
 
-@dataclass
 class SetupData:
     """A poset Ptilde = P | Px with the projection PhiTilde, plus the
-    embedding iota of the previous poset's labels into the old copy."""
+    embedding iota of the previous poset's labels into the old copy, and
+    the SpectrumPartition of the previous poset it was built from."""
 
-    Ptilde: ps.LabeledPoset
-    P: frozenset            # labels of the old copy
-    Px: frozenset           # labels of the new x-primes
-    phi: dict               # PhiTilde at label level, Ptilde -> P
-    iota: dict              # previous label -> old-copy label
-    source: SpectrumPartition = None
+    def __init__(self, Ptilde, P, Px, phi, iota, source):
+        self.Ptilde = Ptilde    # ps.LabeledPoset
+        self.P = P              # labels of the old copy
+        self.Px = Px            # labels of the new x-primes
+        self.phi = phi          # PhiTilde at label level, Ptilde -> P
+        self.iota = iota        # previous label -> old-copy label
+        self.source = source    # SpectrumPartition
 
 
 def validate_setup(s):

@@ -2,7 +2,6 @@
 upper sets, constrained isomorphism search, exports, and the pushout square
 relating an interval [1, wbar*a] to copies of [1, wbar]."""
 
-import json
 from collections import Counter
 
 
@@ -334,6 +333,7 @@ def find_isomorphism(P, Q, constraints=()):
 def export(P, fmt):
     """Render to 'json' (schema with dense ids) or 'dot' (rank-layered)."""
     if fmt == "json":
+        import json
         elems = [{"id": i, "label": P.labels[i],
                   "rank": P.rank[i] if P.rank is not None else None}
                  for i in range(len(P))]

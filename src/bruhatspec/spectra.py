@@ -8,9 +8,7 @@ walks a schedule of variable adjunctions, at each step matching the prime
 poset against a Bruhat interval and extending the isomorphism.
 """
 
-import json
 import re
-from dataclasses import dataclass, field
 from importlib import resources
 
 from . import bruhat as br
@@ -118,33 +116,35 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
                                  frozenset(P3), partner)
 
 
-@dataclass
 class Step:
-    var: str
-    gen: int = None            # None: no Bruhat letter for this variable
-    side: str = "right"
-    delta: dict = field(default_factory=dict)
-    rewrite: dict = field(default_factory=dict)
-    expansions: dict = field(default_factory=dict)
-    partner: dict = field(default_factory=dict)
+    """One variable of a schedule; gen None means no Bruhat letter."""
+
+    def __init__(self, var, gen, side, delta, rewrite, expansions, partner):
+        self.var = var
+        self.gen = gen
+        self.side = side
+        self.delta = delta
+        self.rewrite = rewrite
+        self.expansions = expansions
+        self.partner = partner
 
 
-@dataclass
 class PipelineSpec:
-    name: str
-    cox: cx.CoxeterMatrix
-    steps: list
-    expect: dict = field(default_factory=dict)
+    def __init__(self, name, cox, steps, expect):
+        self.name = name
+        self.cox = cox          # cx.CoxeterMatrix
+        self.steps = steps      # list of Step
+        self.expect = expect
 
 
-@dataclass
 class PipelineResult:
-    name: str
-    word: tuple
-    final_poset: ps.LabeledPoset
-    nabla: ps.PosetMap
-    gens: dict
-    steps: list
+    def __init__(self, name, word, final_poset, nabla, gens, steps):
+        self.name = name
+        self.word = word
+        self.final_poset = final_poset  # ps.LabeledPoset
+        self.nabla = nabla              # ps.PosetMap onto final_poset
+        self.gens = gens
+        self.steps = steps              # the step reports
 
 
 def _load_step(k, sd, cox):
@@ -418,6 +418,7 @@ def builtin(name):
     m2-ext-A3, m2-ext-affineA2."""
     name = _normalize_name(name)
     if name in _DATA_FILES:
+        import json
         text = resources.files(__package__).joinpath(
             "data", name + ".json").read_text()
         return load_pipeline(json.loads(text), name=name)

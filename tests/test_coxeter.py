@@ -59,6 +59,27 @@ def test_json_round_trip():
     assert cx.CoxeterMatrix.from_json_dict(inf.to_json_dict()) == inf
 
 
+def test_matrix_is_immutable_and_compares_by_entries():
+    """A matrix cannot be changed once built, and == and hash read only
+    (n, entries): filling the reflection cache changes neither."""
+    b3 = ((1, 4, 2), (4, 1, 3), (2, 3, 1))
+    for n, entries in ((3, b3), (2, ((1, 6), (6, 1))),
+                       (3, ((1, cx.INF, 3), (cx.INF, 1, 2), (3, 2, 1)))):
+        m, fresh = (cx.CoxeterMatrix(n, entries) for _ in range(2))
+        for name in ("n", "entries", "_reflections", "other"):
+            with pytest.raises(AttributeError):
+                setattr(m, name, None)
+            with pytest.raises(AttributeError):
+                delattr(m, name)
+        assert m == fresh and hash(m) == hash(fresh)
+        m.reflection(1)
+        assert m == fresh and hash(m) == hash(fresh)
+        assert fresh == m and hash(m) == hash((n, entries))
+        assert cx.CoxeterMatrix.from_json_dict(m.to_json_dict()) == m
+        assert (m.n, m.entries) == (n, entries)
+        assert m != (n, entries) and m != cx.builtin_matrix("A", n)
+
+
 def test_element_from_word_examples():
     assert cx.element_from_word(A2, (1, 1)).is_identity()
     assert cx.element_from_word(A2, (2, 1, 2)).word == (1, 2, 1)

@@ -19,15 +19,30 @@ def chain2(lo="0", hi="x1"):
     return ps.build([lo, hi], [(lo, hi)])
 
 
+def sp_all_p3(P):
+    return ext.SpectrumPartition(P, frozenset(), frozenset(),
+                                 frozenset(P.labels), {})
+
+
 def minimal_setup():
-    """Ptilde = {p < q}, P = {p}, Px = {q}, PhiTilde constant p."""
+    """Ptilde = {p < q}, P = {p}, Px = {q}, PhiTilde constant p: the step
+    over the one-prime poset {p}, all of it in P3."""
     T = ps.build(["p", "q"], [("p", "q")])
     return ext.SetupData(Ptilde=T, P=frozenset(["p"]), Px=frozenset(["q"]),
-                         phi={"p": "p", "q": "p"}, iota={"p": "p"})
+                         phi={"p": "p", "q": "p"}, iota={"p": "p"},
+                         source=sp_all_p3(ps.singleton("p")))
 
 
 def test_validate_setup_pass():
     assert ext.validate_setup(minimal_setup()) is None
+
+
+def test_setup_data_requires_a_source():
+    """commuting_square reads the source's P3, so a setup has one."""
+    s = minimal_setup()
+    with pytest.raises(TypeError, match="source"):
+        ext.SetupData(Ptilde=s.Ptilde, P=s.P, Px=s.Px, phi=s.phi,
+                      iota=s.iota)
 
 
 def test_validate_setup_upper_set_fail():
@@ -41,15 +56,18 @@ def test_validate_setup_upper_set_fail():
 def test_validate_setup_phi_above_fail():
     T = ps.build(["p", "q", "r"], [("p", "q"), ("p", "r")])
     s = ext.SetupData(Ptilde=T, P=frozenset(["p", "q"]), Px=frozenset(["r"]),
-                      phi={"p": "p", "q": "q", "r": "q"}, iota={})
+                      phi={"p": "p", "q": "q", "r": "q"}, iota={},
+                      source=sp_all_p3(ps.build(["p", "q"], [])))
     with pytest.raises(ext.ExtensionError, match="^PhiTilde\\(q\\) !<= r$"):
         ext.validate_setup(s)
 
 
 def _setup(relations, P, Px, phi):
+    """validate_setup reads neither iota nor the source."""
     labels = sorted(set(P) | set(Px) | {x for r in relations for x in r})
     return ext.SetupData(Ptilde=ps.build(labels, relations),
-                         P=frozenset(P), Px=frozenset(Px), phi=phi, iota={})
+                         P=frozenset(P), Px=frozenset(Px), phi=phi, iota={},
+                         source=sp_all_p3(ps.build(sorted(P), [])))
 
 
 # One SetupData per clause of validate_setup, in the order it checks them,
@@ -114,11 +132,6 @@ def test_derive_partners():
         spectra.classify(D, gens, delta)
     assert spectra.classify(D, gens, delta,
                             partner_override={"a": "1"}).partner == {"a": "1"}
-
-
-def sp_all_p3(P):
-    return ext.SpectrumPartition(P, frozenset(), frozenset(),
-                                 frozenset(P.labels), {})
 
 
 def ore(sp, label_of_new, **kwargs):
@@ -297,8 +310,11 @@ def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
     label order, in every process."""
     code = ("from bruhatspec import extension as ext, poset as ps\n"
             "T = ps.build(['a', 'b', 'x', 'y'], [('a', 'x'), ('b', 'y')])\n"
+            "src = ext.SpectrumPartition(ps.build(['a', 'b'], []),\n"
+            "                            frozenset(), frozenset(),\n"
+            "                            frozenset('ab'), {})\n"
             "s = ext.SetupData(Ptilde=T, P=frozenset('ab'),\n"
-            "                  Px=frozenset('xy'), iota={},\n"
+            "                  Px=frozenset('xy'), iota={}, source=src,\n"
             "                  phi={'a': 'a', 'b': 'b', 'x': 'b', 'y': 'a'})\n"
             "try:\n"
             "    ext.validate_setup(s)\n"

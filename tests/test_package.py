@@ -1,7 +1,10 @@
 """Properties of the package as a whole."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import bruhatspec
 
@@ -30,3 +33,28 @@ def test_no_module_or_class_holds_a_functools_cache():
                              for attr, val in vars(obj).items()
                              if _cached(val))
     assert found == []
+
+
+def _loaded_by(statement):
+    """The modules that running statement adds to sys.modules in a fresh
+    interpreter."""
+    code = ("import sys\nbefore = set(sys.modules)\n%s\n"
+            "print(' '.join(sorted(set(sys.modules) - before)))" % statement)
+    src = os.path.dirname(os.path.dirname(bruhatspec.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    return set(out.split())
+
+
+def test_import_footprint_stays_small():
+    """Every CLI call starts a fresh interpreter, so what importing the
+    package loads is paid on each: dataclasses (which loads inspect) and
+    json are not needed to import it, nor the acceptance suite to parse a
+    command line."""
+    loaded = _loaded_by("import bruhatspec")
+    assert "bruhatspec.spectra" in loaded
+    assert not loaded & {"dataclasses", "inspect", "json"}
+    loaded = _loaded_by("import bruhatspec.cli")
+    assert "bruhatspec.cli" in loaded
+    assert "bruhatspec.acceptance" not in loaded
