@@ -3,12 +3,11 @@ combinatorial prime-spectrum pipelines matched against Bruhat intervals."""
 
 from .coxeter import (CoxeterMatrix, GroupElement, CoxeterError,
                       builtin_matrix, matrix_by_name, element_from_word,
-                      identity_element, generator_element, multiply,
-                      right_descent, left_descent, is_reduced,
+                      identity_element, right_descent, left_descent,
                       elements_up_to_length, INF)
 from .bruhat import (BruhatError, BruhatInterval, BruhatPartition,
-                     bruhat_leq, interval, partition, is_decomposable,
-                     check_lifting, word_label)
+                     bruhat_leq, interval, partition, check_lifting,
+                     word_label)
 from .poset import (LabeledPoset, PosetMap, PosetError, build, product,
                     disjoint_union, two_chain, singleton, induced,
                     is_upper_set, find_isomorphism, export, pushout_square)

@@ -2,10 +2,8 @@
 as checked, ranked posets labelled by canonical words, grown only by the
 letter step from [1, u] to [1, us] or [1, su], the W1-W4 partition of
 [1, wbar*a] (or [1, a*wbar]) and its projection Phi, both read off one
-letter step's product table, decomposability, and an exhaustive
-lifting-property checker."""
-
-from itertools import combinations
+letter step's product table, and an exhaustive lifting-property
+checker."""
 
 from . import coxeter as cx
 from . import poset as ps
@@ -191,36 +189,6 @@ def _check_partition(part):
     for w in iva.elements:
         if (w in w14) != descent(w, a):
             raise BruhatError("W1|W4 != [1,wbar*a] cap W_a")
-
-
-def is_decomposable(m, word):
-    """A length-additive factorization w = u*v with only the identity below
-    both factors, or None.
-
-    [1,u] and [1,v] meet only in the identity iff u and v have disjoint
-    supports (the atoms of [1,u] are the generators in supp(u)).  So w
-    decomposes iff for some nonempty proper K of supp(w), with J the rest,
-    the parabolic factorization w = w^J * w_J (Bjorner-Brenti 2.4.4) has
-    both factors nontrivial and supp(w^J) inside K.  Candidate supports K
-    of u are tried in combinations order; the factors come back as
-    canonical words.
-    """
-    w = cx.element_from_word(m, word)
-    if w.length != len(word):
-        raise BruhatError("input word is not reduced")
-    supp = sorted(set(w.word))
-    for k in range(1, len(supp)):
-        for K in combinations(supp, k):
-            J = [j for j in supp if j not in K]
-            u, v = w, ()        # strip right descents in J: w = u * v
-            while True:
-                s = next((j for j in J if cx.right_descent(u, j)), None)
-                if s is None:
-                    break
-                u, v = u.times_gen(s), (s,) + v
-            if v and set(u.word).isdisjoint(J):
-                return (u.word, cx.element_from_word(m, v).word)
-    return None
 
 
 def check_lifting(m, bound):

@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 usage error.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,6 +21,7 @@ def _matrix(arg):
     except cx.CoxeterError:
         if not os.path.exists(arg):
             raise
+    import json
     try:
         with open(arg) as f:
             return cx.CoxeterMatrix.from_json_dict(json.load(f))
@@ -103,6 +103,7 @@ def cmd_pipeline(args):
         if args.builtin:
             spec = sp.builtin(args.builtin)
         else:
+            import json
             with open(args.file) as f:
                 spec = sp.load_pipeline(json.load(f))
     except (OSError, KeyError, TypeError, ValueError) as e:

@@ -35,23 +35,26 @@ class CoxeterMatrix:
     generators.  Immutable; equality and hashing read (n, entries)."""
 
     def __init__(self, n, entries):
+        if type(n) is not int:
+            raise CoxeterError("rank must be an integer, got %r" % (n,))
         if n < 1 or len(entries) != n:
             raise CoxeterError("rank/entry shape mismatch")
-        for i in range(n):
-            row = entries[i]
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise CoxeterError("entries must be square")
+            if set(map(type, row)) != {int}:
+                j = next(j for j, x in enumerate(row) if type(x) is not int)
+                raise CoxeterError("entry (%d,%d) must be an integer, got %r"
+                                   % (i + 1, j + 1, row[j]))
             if row[i] != 1:
                 raise CoxeterError("diagonal entries must be 1")
-            for j in range(n):
-                if i == j:
-                    continue
+            for j in range(i):      # row j is checked; symmetry covers j > i
                 if row[j] != entries[j][i]:
                     raise CoxeterError("Coxeter matrix must be symmetric")
                 if row[j] not in _ALLOWED_OFFDIAG:
                     raise CoxeterError(
                         "non-crystallographic bond label %r at (%d,%d)"
-                        % (row[j], i + 1, j + 1)
+                        % (row[j], j + 1, i + 1)
                     )
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "entries", entries)
@@ -79,9 +82,6 @@ class CoxeterMatrix:
     def generators(self):
         return range(1, self.n + 1)
 
-    def m(self, i, j):
-        return self.entries[i - 1][j - 1]
-
     def reflection(self, i):
         """Matrix of the simple reflection s_i on the root lattice (i is
         1-based).  All n are built on the first call and kept on the matrix,
@@ -108,9 +108,6 @@ class CoxeterMatrix:
             if not 1 <= letter <= self.n:
                 raise CoxeterError("invalid generator index %r" % (letter,))
         return tuple(word)
-
-    def to_json_dict(self):
-        return {"rank": self.n, "m": [list(row) for row in self.entries]}
 
     @classmethod
     def from_json_dict(cls, d):
@@ -170,9 +167,6 @@ class GroupElement:
     def length(self):
         return len(self.word)
 
-    def is_identity(self):
-        return not self.word
-
     def __eq__(self, other):
         return (
             isinstance(other, GroupElement)
@@ -185,9 +179,6 @@ class GroupElement:
 
     def __repr__(self):
         return "GroupElement(%s)" % (".".join(map(str, self.word)) or "e")
-
-    def inverse(self):
-        return GroupElement(self.cox, self.matrix_inv, self.matrix)
 
     def times_gen(self, i, side="right"):
         """Product with a simple reflection on the given side."""
@@ -229,32 +220,13 @@ def identity_element(cox):
     return GroupElement(cox, ident, ident)
 
 
-def generator_element(cox, i):
-    S = cox.reflection(i)
-    return GroupElement(cox, S, S)
-
-
 def element_from_word(cox, word):
-    """The group element equal to the product of the listed simple reflections."""
-    word = cox.check_word(word)
-    n = cox.n
-    M = _identity(n)
-    Minv = M
-    for letter in word:
-        S = cox.reflection(letter)
-        M = _mat_mul(M, S)
-        Minv = _mat_mul(S, Minv)
-    return GroupElement(cox, M, Minv)
-
-
-def multiply(u, v):
-    if u.cox != v.cox:
-        raise CoxeterError("elements from different Coxeter groups")
-    return GroupElement(
-        u.cox,
-        _mat_mul(u.matrix, v.matrix),
-        _mat_mul(v.matrix_inv, u.matrix_inv),
-    )
+    """The group element equal to the product of the listed simple
+    reflections, built from the identity one letter at a time."""
+    w = identity_element(cox)
+    for letter in cox.check_word(word):
+        w = w.times_gen(letter)
+    return w
 
 
 def right_descent(w, i):
@@ -268,11 +240,6 @@ def left_descent(w, i):
     w.cox.check_word((i,))
     col = i - 1
     return all(w.matrix_inv[r][col] <= 0 for r in range(w.cox.n))
-
-
-def is_reduced(cox, word):
-    word = cox.check_word(word)
-    return element_from_word(cox, word).length == len(word)
 
 
 def elements_up_to_length(cox, bound):

@@ -51,26 +51,24 @@ def label_of(gens):
     return "0" if not gens else ",".join(sorted(gens))
 
 
-def symbol_in_ideal(sym, gens, expansions, _seen=frozenset()):
-    """A symbol lies in <gens> if it is listed, or if its declared expansion
-    has every summand monomial in the ideal."""
-    if sym in gens:
-        return True
-    if sym in _seen:
-        return False
-    exp = expansions.get(sym)
-    if exp is None:
-        return False
-    seen = _seen | {sym}
-    return all(in_ideal(m, gens, expansions, seen) for m in exp)
+def _ideal_symbols(gens, expansions):
+    """The symbols in <gens>: the least set holding gens and every symbol
+    whose declared expansion has a factor of each summand monomial in the
+    set.  Built by iteration to a fixpoint, so an expansion chain of any
+    depth is safe and a cycle adds nothing."""
+    inside = set(gens)
+    while True:
+        new = {sym for sym, exp in expansions.items() if sym not in inside
+               and all(not inside.isdisjoint(m) for m in exp)}
+        if not new:
+            return inside
+        inside |= new
 
 
-def in_ideal(m, gens, expansions=None, _seen=frozenset()):
+def in_ideal(m, gens, expansions=None):
     """Monomial membership in the ideal generated by `gens`: some factor must
     lie in the ideal, so the unit (no factors) is in no proper ideal."""
-    if expansions is None:
-        expansions = {}
-    return any(symbol_in_ideal(s, gens, expansions, _seen) for s in m)
+    return not _ideal_symbols(gens, expansions or {}).isdisjoint(m)
 
 
 def classify(P, gens_of, delta, expansions=None, partner_override=None):
@@ -85,9 +83,10 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
     P1, P2, P3 = set(), set(), set()
     for lab in P.labels:
         g = gens_of[lab]
-        if all(in_ideal(m, g, expansions) for m in all_images):
+        inside = _ideal_symbols(g, expansions)
+        if all(not inside.isdisjoint(m) for m in all_images):
             P3.add(lab)
-        elif all(in_ideal(m, g, expansions)
+        elif all(not inside.isdisjoint(m)
                  for s in g for m in delta.get(s, ())):
             P2.add(lab)
         else:

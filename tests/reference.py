@@ -1,10 +1,11 @@
-"""Reference order checks that walk every relation.
+"""Reference versions of checks the package does a faster way.
 
 `poset.LabeledPoset` checks an order and reads its covers in about one step
 per cover edge, and `poset._preserves` tests a map on cover edges only.
 The functions here do the same jobs the plain way, one step per relation,
 so property tests can hold the fast checks to the same verdicts, messages
-and results.
+and results.  `in_ideal` is the recursive ideal membership that
+`spectra.in_ideal` replaced by an iterative closure.
 """
 
 from bruhatspec.poset import PosetError
@@ -61,3 +62,20 @@ def preserves_scan(P, Q, images):
     f = [Q.index(l) for l in images]
     return all(Q.up[f[i]] >> f[j] & 1
                for i, u in enumerate(P.up) for j in _bits(u))
+
+
+def symbol_in_ideal(sym, gens, expansions, seen=frozenset()):
+    """A symbol lies in <gens> if it is listed, or if its declared expansion
+    has every summand monomial in the ideal; a symbol met again on the same
+    path counts as outside."""
+    if sym in gens:
+        return True
+    if sym in seen or sym not in expansions:
+        return False
+    return all(in_ideal(m, gens, expansions, seen | {sym})
+               for m in expansions[sym])
+
+
+def in_ideal(m, gens, expansions=None, seen=frozenset()):
+    """Some factor of the monomial m lies in <gens>."""
+    return any(symbol_in_ideal(s, gens, expansions or {}, seen) for s in m)

@@ -309,6 +309,66 @@ def test_export_to_file(tmp_path, capsys):
     assert json.loads(path.read_text())["elements"]
 
 
+def _expansion_chain_file(tmp_path, name, depth):
+    """A2 pipeline whose second step sends x1 to E0, where E0 expands
+    through E1, ..., E<depth> to x1."""
+    exp = {"E%d" % k: [["E%d" % (k + 1)]] for k in range(depth)}
+    exp["E%d" % depth] = [["x1"]]
+    path = tmp_path / (name + ".json")
+    path.write_text(json.dumps({"coxeter": "A2", "steps": [
+        {"var": "x1", "gen": 1},
+        {"var": "x2", "gen": 2, "delta": {"x1": [["E0"]]},
+         "expansions": exp}]}))
+    return str(path)
+
+
+def test_pipeline_deep_expansion_chain_is_no_traceback(tmp_path, capsys):
+    """A 400-deep expansion chain is judged like its collapsed form."""
+    flat = run(capsys, "pipeline", "--file",
+               _expansion_chain_file(tmp_path, "flat", 0))
+    deep = run(capsys, "pipeline", "--file",
+               _expansion_chain_file(tmp_path, "deep", 400))
+    assert flat == deep
+    code, out, err = deep
+    assert code == 1 and out == "" and err.count("\n") == 1
+    assert err.startswith("verification failure: pipeline 'pipeline', "
+                          "step 2 (x2): no block-respecting isomorphism")
+
+
+NOT_INTEGERS = [
+    ({"rank": 2, "m": [[True, False], [False, True]]}, "entry (1,1)"),
+    ({"rank": 2, "m": [[1, 3.0], [3.0, 1]]}, "entry (1,2)"),
+    ({"rank": True, "m": [[1]]}, "rank must be an integer"),
+    ({"rank": 2, "m": [[1, 3], []]}, "entries must be square"),
+]
+
+
+@pytest.mark.parametrize("matrix, message", NOT_INTEGERS,
+                         ids=["bools", "float", "bool-rank", "short-row"])
+def test_matrix_file_entries_must_be_integers(tmp_path, capsys, matrix,
+                                              message):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(matrix))
+    code, out, err = run(capsys, "interval", "--matrix", str(path),
+                         "--word", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+@pytest.mark.parametrize("matrix, message", NOT_INTEGERS,
+                         ids=["bools", "float", "bool-rank", "short-row"])
+def test_pipeline_matrix_entries_must_be_integers(tmp_path, capsys, matrix,
+                                                  message):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"coxeter": matrix,
+                                "steps": [{"var": "x1", "gen": 1}]}))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
 def test_matrix_from_file(tmp_path, capsys):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({"rank": 2, "m": [[1, 3], [3, 1]]}))

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bruhatspec import bruhat as br
 from bruhatspec import coxeter as cx
 
 A2 = cx.builtin_matrix("A", 2)
@@ -14,7 +15,7 @@ def test_builtin_a2_entries():
 
 
 def test_builtin_a3_entries():
-    assert A3.m(1, 2) == 3 and A3.m(2, 3) == 3 and A3.m(1, 3) == 2
+    assert A3.entries == ((1, 3, 2), (3, 1, 3), (2, 3, 1))
 
 
 def test_builtin_d4_entries():
@@ -23,7 +24,7 @@ def test_builtin_d4_entries():
         for j in D4.generators:
             if i < j:
                 want = 3 if (i, j) in edges else 2
-                assert D4.m(i, j) == want
+                assert D4.entries[i - 1][j - 1] == want
 
 
 def test_affine_a2_is_triangle():
@@ -52,11 +53,29 @@ def test_matrix_validation():
 
 
 def test_json_round_trip():
-    d = D4.to_json_dict()
+    d = {"rank": 4, "m": [list(row) for row in D4.entries]}
     assert cx.CoxeterMatrix.from_json_dict(d) == D4
     inf = cx.CoxeterMatrix(2, ((1, cx.INF), (cx.INF, 1)))
-    assert inf.to_json_dict()["m"] == [[1, 0], [0, 1]]
-    assert cx.CoxeterMatrix.from_json_dict(inf.to_json_dict()) == inf
+    assert cx.CoxeterMatrix.from_json_dict(
+        {"rank": 2, "m": [[1, 0], [0, 1]]}) == inf
+
+
+@pytest.mark.parametrize("n, entries, message", [
+    (2, ((True, False), (False, True)), r"entry \(1,1\) .* got True"),
+    (2, ((1, 0), (0, True)), r"entry \(2,2\) .* got True"),
+    (2, ((1, 3.0), (3.0, 1)), r"entry \(1,2\) .* got 3\.0"),
+    (2, ((1, 3), (3.0, 1)), r"entry \(2,1\) .* got 3\.0"),
+    (2, ((1, 3), (3, 1.0)), r"entry \(2,2\) .* got 1\.0"),
+    (True, ((1,),), "rank must be an integer, got True"),
+    (2.0, ((1, 3), (3, 1)), "rank must be an integer, got 2.0"),
+    (2, ((1, 3), ()), "entries must be square"),
+], ids=["bools", "bool-diagonal", "float", "float-below", "float-diagonal",
+        "bool-rank", "float-rank", "short-row"])
+def test_matrix_entries_must_be_plain_integers(n, entries, message):
+    """JSON true/false and 3.0 compare equal to 1/0 and 3, so without a type
+    check a false bond would pass as the infinite bond INF = 0."""
+    with pytest.raises(cx.CoxeterError, match=message):
+        cx.CoxeterMatrix(n, entries)
 
 
 def test_matrix_is_immutable_and_compares_by_entries():
@@ -75,13 +94,14 @@ def test_matrix_is_immutable_and_compares_by_entries():
         m.reflection(1)
         assert m == fresh and hash(m) == hash(fresh)
         assert fresh == m and hash(m) == hash((n, entries))
-        assert cx.CoxeterMatrix.from_json_dict(m.to_json_dict()) == m
+        assert cx.CoxeterMatrix.from_json_dict({"rank": n, "m": entries}) == m
         assert (m.n, m.entries) == (n, entries)
         assert m != (n, entries) and m != cx.builtin_matrix("A", n)
 
 
 def test_element_from_word_examples():
-    assert cx.element_from_word(A2, (1, 1)).is_identity()
+    assert cx.element_from_word(A2, (1, 1)).length == 0
+    assert cx.element_from_word(A2, (1, 1)) == cx.identity_element(A2)
     assert cx.element_from_word(A2, (2, 1, 2)).word == (1, 2, 1)
     assert cx.element_from_word(A2, (1, 2, 1, 2)).word == (2, 1)
 
@@ -97,13 +117,13 @@ def test_bad_generator_is_rejected_not_wrapped(i):
     e = cx.identity_element(A3)
     for call in (lambda: A3.reflection(i), lambda: e.times_gen(i),
                  lambda: e.times_gen(i, "left"),
-                 lambda: cx.generator_element(A3, i)):
+                 lambda: cx.element_from_word(A3, (i,))):
         with pytest.raises(cx.CoxeterError, match="invalid generator index"):
             call()
 
 
 def test_times_gen_rejects_unknown_side():
-    s1 = cx.generator_element(A3, 1)
+    s1 = cx.element_from_word(A3, (1,))
     assert s1.times_gen(2, "left") == cx.element_from_word(A3, (2, 1))
     with pytest.raises(cx.CoxeterError, match="side must be"):
         s1.times_gen(2, side="up")
@@ -111,46 +131,53 @@ def test_times_gen_rejects_unknown_side():
 
 def test_right_descent_examples():
     e = cx.identity_element(A2)
-    s1 = cx.generator_element(A2, 1)
+    s1 = cx.element_from_word(A2, (1,))
     assert not cx.right_descent(e, 1)
     assert cx.right_descent(s1, 1)
     assert not cx.right_descent(s1, 2)
 
 
 def test_multiply_examples():
-    s1 = cx.generator_element(A2, 1)
-    s2 = cx.generator_element(A2, 2)
-    assert cx.multiply(s1, s1).is_identity()
-    assert cx.multiply(s1, s2).word == (1, 2)
-    s1s2 = cx.multiply(s1, s2)
-    assert cx.multiply(s1s2, s1).word == (1, 2, 1)
+    """Products are built by times_gen, one generator at a time."""
+    s1 = cx.element_from_word(A2, (1,))
+    assert s1.times_gen(1).length == 0
+    assert s1.times_gen(2).word == (1, 2)
+    s1s2 = s1.times_gen(2)
+    assert s1s2.times_gen(1).word == (1, 2, 1)
+    assert s1s2.times_gen(1) == cx.element_from_word(A2, (1, 2, 1))
 
 
 def test_multiply_mismatch():
-    with pytest.raises(cx.CoxeterError):
-        cx.multiply(cx.generator_element(A2, 1), cx.generator_element(A3, 1))
+    """Elements of different groups never compare equal, and comparing them
+    in Bruhat order is an error."""
+    s1, t1 = cx.element_from_word(A2, (1,)), cx.element_from_word(A3, (1,))
+    assert s1 != t1 and cx.identity_element(A2) != cx.identity_element(A3)
+    with pytest.raises(cx.CoxeterError, match="different Coxeter groups"):
+        br.bruhat_leq(s1, t1)
 
 
 def test_canonical_word_affine():
     w = cx.element_from_word(AFF, (3, 2, 1, 3, 2))
     assert len(w.word) == 5
-    assert cx.is_reduced(AFF, w.word)
+    assert cx.element_from_word(AFF, w.word).length == len(w.word)
 
 
 def test_is_reduced_examples():
-    assert cx.is_reduced(A2, (1, 2, 1))
-    assert not cx.is_reduced(A2, (1, 2, 1, 2))
-    assert cx.is_reduced(A3, (2, 1, 3, 2))
+    """A word is reduced iff its element's length is the word's length."""
+    reduced = lambda m, w: cx.element_from_word(m, w).length == len(w)
+    assert reduced(A2, (1, 2, 1))
+    assert not reduced(A2, (1, 2, 1, 2))
+    assert reduced(A3, (2, 1, 3, 2))
 
 
 def test_braid_relations_all_builtins():
     for m in (A2, A3, D4, AFF):
         for i in m.generators:
             for j in m.generators:
-                if i == j or m.m(i, j) == cx.INF:
+                bond = m.entries[i - 1][j - 1]
+                if i == j or bond == cx.INF:
                     continue
-                assert cx.element_from_word(
-                    m, ((i, j) * m.m(i, j))).is_identity()
+                assert cx.element_from_word(m, (i, j) * bond).length == 0
 
 
 def test_dihedral_reflections():
@@ -160,11 +187,12 @@ def test_dihedral_reflections():
     for bond in (2, 3, 4, 6, cx.INF):
         m = cx.CoxeterMatrix(2, ((1, bond), (bond, 1)))
         alternating = lambda k: (1, 2) * (k // 2) + (1,) * (k % 2)
+        length = lambda w: cx.element_from_word(m, w).length
         for k in range((bond or 8) + 1):
-            assert cx.is_reduced(m, alternating(k)), (bond, k)
+            assert length(alternating(k)) == k, (bond, k)
         if bond:
-            assert not cx.is_reduced(m, alternating(bond + 1))
-            assert cx.element_from_word(m, (1, 2) * bond).is_identity()
+            assert length(alternating(bond + 1)) == bond - 1
+            assert length((1, 2) * bond) == 0
         same = cx.CoxeterMatrix(2, ((1, bond), (bond, 1)))
         assert same == m and hash(same) == hash(m)
         assert repr(m) == "CoxeterMatrix(n=2, entries=((1, %d), (%d, 1)))" \
@@ -180,11 +208,16 @@ def test_length_changes_by_one():
 
 
 def test_inverse_and_left_descent():
-    w = cx.element_from_word(A3, (2, 1, 3, 2))
-    assert cx.multiply(w, w.inverse()).is_identity()
-    # left descents of w are right descents of w^-1
+    """The reversed word gives w^-1; the left descents of w are the right
+    descents of w^-1."""
+    w = cx.element_from_word(A3, (2, 1, 3, 2, 1))
+    inv = cx.element_from_word(A3, w.word[::-1])
+    assert cx.element_from_word(A3, w.word + inv.word).length == 0
+    assert (inv.matrix, inv.matrix_inv) == (w.matrix_inv, w.matrix)
+    assert inv != w
+    assert [i for i in A3.generators if cx.left_descent(w, i)] == [2, 3]
     for i in A3.generators:
-        assert cx.left_descent(w, i) == cx.right_descent(w.inverse(), i)
+        assert cx.left_descent(w, i) == cx.right_descent(inv, i)
 
 
 def test_affine_lengths_exist_up_to_8():
@@ -200,7 +233,7 @@ def test_roundtrip_and_idempotence_a3(word):
     again = cx.element_from_word(A3, w.word)
     assert again == w
     assert again.word == w.word          # canonical form is stable
-    assert cx.is_reduced(A3, w.word)
+    assert again.length == len(w.word)   # the canonical word is reduced
 
 
 @given(st.lists(st.integers(1, 3), max_size=8))

@@ -12,6 +12,7 @@ from bruhatspec import poset as ps
 from bruhatspec import spectra as sp
 
 import oracle
+import reference
 
 A3 = cx.builtin_matrix("A", 3)
 
@@ -63,6 +64,36 @@ def test_in_ideal_nested_expansions():
 def test_in_ideal_cyclic_expansion_terminates():
     exp = {"a": (mon("a"),)}
     assert not sp.in_ideal(mon("a"), {"b"}, exp)
+
+
+SYMBOLS = ["x1", "x2", "y1", "A", "B", "C", "D"]
+monomials = st.lists(st.lists(st.sampled_from(SYMBOLS), max_size=3)
+                     .map(tuple), max_size=3).map(tuple)
+
+
+@given(st.lists(st.sampled_from(SYMBOLS), max_size=3).map(tuple),
+       st.sets(st.sampled_from(SYMBOLS), max_size=3),
+       st.dictionaries(st.sampled_from(SYMBOLS), monomials, max_size=5))
+@settings(max_examples=300, deadline=None)
+def test_in_ideal_matches_the_recursive_reference(m, gens, expansions):
+    """The iterative closure agrees with the recursive definition, whose
+    cycles (A -> B -> A, or A -> A) count as outside the ideal."""
+    assert sp.in_ideal(m, gens, expansions) == \
+        reference.in_ideal(m, gens, expansions)
+
+
+def test_in_ideal_cyclic_and_deep_expansions():
+    cyc = {"A": (mon("B"),), "B": (mon("A"), mon("x1")),
+           "C": (mon("A", "x1"),)}
+    for gens, inside in (({"x1"}, {"C"}), ({"A"}, {"A", "C"}),
+                         ({"B"}, {"A", "B", "C"}), ((), set())):
+        for sym in "ABC":
+            assert sp.in_ideal(mon(sym), gens, cyc) == (sym in inside)
+            assert reference.in_ideal(mon(sym), gens, cyc) == (sym in inside)
+    deep = {"E%d" % k: (mon("E%d" % (k + 1)),) for k in range(400)}
+    deep["E400"] = (mon("x1"),)
+    assert sp.in_ideal(mon("E0"), {"x1"}, deep)
+    assert not sp.in_ideal(mon("E0"), {"x2"}, deep)
 
 
 @given(st.sets(st.sampled_from(["x1", "x2", "x3", "y1"])),
