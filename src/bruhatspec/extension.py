@@ -127,7 +127,8 @@ def ore_step(sp, new_label, relabel=None):
     # bit n+k of Ptilde is p3[k]'s new prime; lift(u) is the new primes
     # over the P3 members of the bitset u
     x_bit = {P.index(q): 1 << (n + k) for k, q in enumerate(p3)}
-    lift = lambda u: sum(x_bit.get(i, 0) for i in ps._bits(u))
+    p3_mask = sum(1 << i for i in x_bit)
+    lift = lambda u: sum(x_bit[i] for i in ps._bits(u & p3_mask))
     up = [u | lift(P.up[P.index(sp.partner.get(l, l))])
           for l, u in zip(P.labels, P.up)] + [lift(P.up[i]) for i in x_bit]
     rank = None if P.rank is None else \

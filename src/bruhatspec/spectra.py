@@ -54,15 +54,27 @@ def label_of(gens):
 def _ideal_symbols(gens, expansions):
     """The symbols in <gens>: the least set holding gens and every symbol
     whose declared expansion has a factor of each summand monomial in the
-    set.  Built by iteration to a fixpoint, so an expansion chain of any
-    depth is safe and a cycle adds nothing."""
-    inside = set(gens)
-    while True:
-        new = {sym for sym, exp in expansions.items() if sym not in inside
-               and all(not inside.isdisjoint(m) for m in exp)}
-        if not new:
-            return inside
-        inside |= new
+    set.  Built by a worklist: a symbol entering the set marks each summand
+    it is a factor of, and an expansion whose summands are all marked enters
+    in turn.  So the work is linear in the expansions, a chain of any depth
+    is safe and a cycle adds nothing."""
+    unmarked = {sym: set(range(len(exp))) for sym, exp in expansions.items()}
+    summands_of = {}        # symbol -> the (sym, i) summands it is a factor of
+    for sym, exp in expansions.items():
+        for i, m in enumerate(exp):
+            for f in set(m):
+                summands_of.setdefault(f, []).append((sym, i))
+    inside = set()
+    todo = list(gens) + [sym for sym, exp in expansions.items() if not exp]
+    while todo:
+        s = todo.pop()
+        if s not in inside:
+            inside.add(s)
+            for sym, i in summands_of.get(s, ()):
+                unmarked[sym].discard(i)
+                if not unmarked[sym]:
+                    todo.append(sym)
+    return inside
 
 
 def in_ideal(m, gens, expansions=None):
@@ -294,11 +306,12 @@ def _step(cox, word, gens, nabla, expans, st):
     step with a letter a partitions [1, wbar*a] (right) or [1, a*wbar]
     (left), grown from nabla's source by one letter step; it extends nabla
     by extend_iso to a map from that interval, which checks hypotheses (a)
-    and (b), and checks the contraction square.  A right step first
-    re-finds nabla on [1,wbar] as a block-respecting isomorphism
-    (W1,W2,W3 -> P1,P2,P3).  A step without a letter maps by iota . nabla,
-    from the same interval.  load_pipeline has checked the schedule: a left
-    letter is outside supp(wbar) and comes with delta = 0.
+    and (b), and checks the contraction square.  It keeps the nabla it
+    carries if that sends W1,W2,W3 into P1,P2,P3, and only otherwise
+    searches for a block-respecting isomorphism [1,wbar] -> P.  A step
+    without a letter maps by iota . nabla, from the same interval.
+    load_pipeline has checked the schedule: a left letter is outside
+    supp(wbar) and comes with delta = 0, so W3 = [1,wbar] and P3 = P.
     """
     a = st.gen
     kind = "none" if a is None else st.side
@@ -310,8 +323,9 @@ def _step(cox, word, gens, nabla, expans, st):
     sp = classify(P, gens, st.delta, expans, st.partner)
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
-    if kind == "right":
-        blocks = ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
+    blocks = () if part is None else \
+        ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
+    if any(nabla(wl(w)) not in Q for W, Q in blocks for w in W):
         nabla = ps.find_isomorphism(
             nabla.source, P,
             [(sorted(wl(w) for w in W), sorted(Q)) for W, Q in blocks])

@@ -9,6 +9,13 @@ Type D_n elements are even signed permutations of 1..n, stored as windows
 fork at node 3: generator 1 is [-2, -1, 3, ..., n] and generator k >= 2
 swaps positions k-1 and k.  The length is
 inv(w) + #{i < j : w(i) + w(j) < 0}.
+
+Affine type A_{n-1} elements are affine permutations of the integers, with
+w(i + n) = w(i) + n, stored as windows [w(1), ..., w(n)] (Bjorner-Brenti
+8.3): generator k < n swaps positions k and k+1, and generator n is s_0,
+which swaps positions 0 and 1.  The length is the sum over i < j of
+|floor((w(j) - w(i)) / n)|.  For n = 3 this is the package's affineA2,
+whose three generators pairwise have m = 3.
 """
 
 from itertools import permutations
@@ -90,6 +97,30 @@ def d_length(w):
     return sum(1 for i in range(n) for j in range(i + 1, n)
                if w[i] > w[j]) + \
         sum(1 for i in range(n) for j in range(i + 1, n) if w[i] + w[j] < 0)
+
+
+def affine_times_gen(w, k):
+    """w * s_k for an affine permutation window w; k = len(w) is s_0."""
+    n = len(w)
+    w = list(w)
+    if k < n:
+        w[k - 1], w[k] = w[k], w[k - 1]
+    else:
+        w[0], w[n - 1] = w[n - 1] - n, w[0] + n
+    return tuple(w)
+
+
+def affine_of_word(n, word):
+    w = tuple(range(1, n + 1))
+    for k in word:
+        w = affine_times_gen(w, k)
+    return w
+
+
+def affine_length(w):
+    n = len(w)
+    return sum(abs((w[j] - w[i]) // n)
+               for i in range(n) for j in range(i + 1, n))
 
 
 def interval_profile(word, of_word, length):

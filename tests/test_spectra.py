@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bruhatspec import bruhat as br
+from bruhatspec import cli
 from bruhatspec import coxeter as cx
 from bruhatspec import extension as ext
 from bruhatspec import poset as ps
@@ -90,10 +91,13 @@ def test_in_ideal_cyclic_and_deep_expansions():
         for sym in "ABC":
             assert sp.in_ideal(mon(sym), gens, cyc) == (sym in inside)
             assert reference.in_ideal(mon(sym), gens, cyc) == (sym in inside)
-    deep = {"E%d" % k: (mon("E%d" % (k + 1)),) for k in range(400)}
-    deep["E400"] = (mon("x1"),)
-    assert sp.in_ideal(mon("E0"), {"x1"}, deep)
-    assert not sp.in_ideal(mon("E0"), {"x2"}, deep)
+    # chains listed root-first, so a symbol enters only after every symbol
+    # listed after it
+    for depth in (400, 2000):
+        deep = {"E%d" % k: (mon("E%d" % (k + 1)),) for k in range(depth)}
+        deep["E%d" % depth] = (mon("x1"),)
+        assert sp.in_ideal(mon("E0"), {"x1"}, deep)
+        assert not sp.in_ideal(mon("E0"), {"x2"}, deep)
 
 
 @given(st.sets(st.sampled_from(["x1", "x2", "x3", "y1"])),
@@ -332,11 +336,16 @@ def d_n(n):
     return lambda w: oracle.d_of_word(n, w)
 
 
+def affine_n(n):
+    return lambda w: oracle.affine_of_word(n, w)
+
+
 @pytest.mark.parametrize("name, word, of_word, length", [
     ("weyl3", (3, 2, 1, 2, 3), s_n(4), oracle.inversions),
     ("weyl4", (4, 3, 2, 1, 2, 3, 4), s_n(5), oracle.inversions),
     ("horton3", (4, 3, 2, 1, 3, 4), d_n(4), oracle.d_length),
     ("horton4", (5, 4, 3, 2, 1, 3, 4, 5), d_n(5), oracle.d_length),
+    ("m2-ext-affineA2", (3, 2, 1, 3, 2), affine_n(3), oracle.affine_length),
 ])
 def test_expect_matches_oracle(name, word, of_word, length):
     """The frozen expect block equals [e, w] in an independent model, for
@@ -354,3 +363,99 @@ def test_d_oracle_matches_package(word):
     iv = br.interval(D5, word)
     prof = oracle.interval_profile(word, d_n(5), oracle.d_length)
     assert list(iv.rank_profile()) == prof
+
+
+# every shipped pipeline, with its group in an independent model
+BUILTINS = {**{"qaffine%d" % n: s_n(n + 1) for n in range(1, 6)},
+            **{"weyl%d" % n: s_n(n + 1) for n in range(1, 5)},
+            "horton3": d_n(4), "horton4": d_n(5),
+            "qmatrix2": s_n(4), "m2-ext-A3": s_n(4),
+            "m2-ext-affineA2": affine_n(3)}
+
+
+def test_builtins_keep_the_nabla_they_carry(monkeypatch):
+    """At every step of every builtin the carried nabla sends W1, W2, W3
+    into P1, P2, P3, so no step searches for another."""
+    def search(*args):
+        raise AssertionError("a step searched for nabla")
+    monkeypatch.setattr(sp.ps, "find_isomorphism", search)
+    for name in BUILTINS:
+        sp.run_pipeline(sp.builtin(name))
+
+
+RESCUE = {"coxeter": "affineA2", "steps": [
+    {"var": "x1", "gen": 1},
+    {"var": "x2", "gen": 3, "side": "left"},
+    {"var": "x3", "gen": 3, "side": "right", "delta": {"x1": [["x2"]]}}]}
+
+
+def test_search_rescues_a_step_whose_carried_nabla_breaks_a_block(
+        monkeypatch, capsys, tmp_path):
+    """At step 3 the carried nabla breaks a block; the search finds one
+    that does not, and the run goes through."""
+    steps, searched = [], []
+    step, search = sp._step, ps.find_isomorphism
+    monkeypatch.setattr(sp, "_step",
+                        lambda *a: steps.append(a[-1].var) or step(*a))
+    monkeypatch.setattr(sp.ps, "find_isomorphism",
+                        lambda *a: searched.append(steps[-1]) or search(*a))
+    path = tmp_path / "rescue.json"
+    path.write_text(json.dumps(RESCUE))
+    assert cli.main(["pipeline", "--file", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines()[-1] == \
+        "final: 6 elements, ranks 1,2,2,1, word 3.1.3"
+    assert searched == ["x3"]
+
+
+def prime_lineage(spec, monkeypatch):
+    """Run spec and label each final prime J with D(J), the steps at which
+    J's ancestors were new x-primes: iota carries D across a step, and the
+    x-prime over q gets D(q) | {k}.  Steps count from 1, letterless ones
+    included."""
+    setups, ore_step = [], ext.ore_step
+    monkeypatch.setattr(ext, "ore_step",
+                        lambda *a: setups.append(ore_step(*a)) or setups[-1])
+    res = sp.run_pipeline(spec)
+    assert len(setups) == len(spec.steps)
+    D = {"0": frozenset()}
+    for k, s in enumerate(setups, 1):
+        over = {s.iota[q]: q for q in D}
+        D = {**{s.iota[q]: d for q, d in D.items()},
+             **{x: D[over[s.phi[x]]] | {k} for x in s.Px}}
+    return res, D
+
+
+def group_lineage(spec, of_word):
+    """The word spec builds and D on [1, w] from subword products alone: v
+    first lies in the interval of step k, and D(v) = {k} | D(v a_k), or
+    D(a_k v) on a left step."""
+    word, D = (), {of_word(()): frozenset()}
+    for k, step in enumerate(spec.steps, 1):
+        a = step.gen
+        if a is None:
+            continue
+        left = step.side == "left"
+        word = (a,) + word if left else word + (a,)
+        for mask in range(1 << len(word)):
+            sub = tuple(x for i, x in enumerate(word) if mask >> i & 1)
+            v = of_word(sub)
+            if v not in D:
+                D[v] = D[of_word((a,) + sub if left else sub + (a,))] | {k}
+    return word, D
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_nabla_keeps_the_lineage(name, monkeypatch):
+    """D(nabla(v)) = D(v) for every v in [1, w].  D is injective on the
+    group side, so this pins the final nabla, not only its target."""
+    spec, of_word = sp.builtin(name), BUILTINS[name]
+    res, D_prime = prime_lineage(spec, monkeypatch)
+    word, D_group = group_lineage(spec, of_word)
+    assert res.word == word
+    elem = {l: of_word(tuple(map(int, l.split("."))) if l != "e" else ())
+            for l in res.nabla.source.labels}
+    assert set(elem.values()) == set(D_group)
+    assert len(set(D_group.values())) == len(D_group)
+    bad = [l for l, v in elem.items() if D_prime[res.nabla(l)] != D_group[v]]
+    assert not bad, "%d of %d elements" % (len(bad), len(elem))
