@@ -1,8 +1,9 @@
 """Exact crystallographic Coxeter groups via the integer reflection representation.
 
 Elements are stored as integer matrices acting on the root lattice, together
-with a canonical (lexicographically least) reduced word.  All arithmetic is
-exact, so finite and affine groups are handled uniformly.
+with their length; the canonical (lexicographically least) reduced word is
+computed when first read.  All arithmetic is exact, so finite and affine
+groups are handled uniformly.
 """
 
 INF = 0  # Coxeter matrix entry m_ij = infinity (also the JSON encoding)
@@ -152,20 +153,37 @@ def matrix_by_name(name):
 
 
 class GroupElement:
-    """A Coxeter group element: reflection-representation matrix plus the
-    lexicographically least reduced word.  Immutable and hashable."""
+    """A Coxeter group element: its reflection-representation matrix and
+    that matrix's inverse.  Hashable; == and hash read (cox, matrix).
 
-    __slots__ = ("cox", "matrix", "matrix_inv", "word")
+    `word`, the lexicographically least reduced word, is computed on first
+    read and kept on the element.  `length` is carried: `identity_element`
+    starts at 0 and `times_gen` moves it by one, down when s_i is a descent
+    on its side, so reading it forces no word.  An element made by calling
+    GroupElement itself carries no length, and reads it off its word."""
+
+    __slots__ = ("cox", "matrix", "matrix_inv", "_length", "_word")
 
     def __init__(self, cox, matrix, matrix_inv):
         self.cox = cox
         self.matrix = matrix
         self.matrix_inv = matrix_inv
-        self.word = _canonical_word(cox, matrix, matrix_inv)
+        self._length = None
+        self._word = None
+
+    @property
+    def word(self):
+        if self._word is None:
+            self._word = _canonical_word(self.cox, self.matrix,
+                                         self.matrix_inv, self._length)
+            self._length = len(self._word)
+        return self._word
 
     @property
     def length(self):
-        return len(self.word)
+        if self._length is None:
+            return len(self.word)
+        return self._length
 
     def __eq__(self, other):
         return (
@@ -181,43 +199,66 @@ class GroupElement:
         return "GroupElement(%s)" % (".".join(map(str, self.word)) or "e")
 
     def times_gen(self, i, side="right"):
-        """Product with a simple reflection on the given side."""
+        """Product with a simple reflection on the given side, carrying the
+        length: one less if s_i is a descent of self on that side."""
         S = self.cox.reflection(i)
         if side == "right":
-            return GroupElement(
+            down = _nonpositive_column(self.matrix, i - 1)
+            w = GroupElement(
                 self.cox, _mat_mul(self.matrix, S), _mat_mul(S, self.matrix_inv)
             )
-        if side != "left":
+        elif side == "left":
+            down = _nonpositive_column(self.matrix_inv, i - 1)
+            w = GroupElement(
+                self.cox, _mat_mul(S, self.matrix), _mat_mul(self.matrix_inv, S)
+            )
+        else:
             raise CoxeterError('side must be "left" or "right", got %r'
                                % (side,))
-        return GroupElement(
-            self.cox, _mat_mul(S, self.matrix), _mat_mul(self.matrix_inv, S)
-        )
+        w._length = self.length - 1 if down else self.length + 1
+        return w
 
 
-def _canonical_word(cox, matrix, matrix_inv):
+def _nonpositive_column(M, col):
+    """True iff column col of M has no positive entry: for a group
+    element's matrix, iff that column's root is negative."""
+    return all(row[col] <= 0 for row in M)
+
+
+def _canonical_word(cox, matrix, matrix_inv, length):
     # Greedy leftmost-smallest-descent extraction: the smallest i with s_i w < w
     # (read off w^{-1}(alpha_i) <= 0, i.e. column i of the inverse matrix).
+    # It takes exactly `length` steps, the carried length, or while a descent
+    # is left if none is carried; either way they must end at the identity.
     n = cox.n
-    ident = _identity(n)
     word = []
     M, Minv = matrix, matrix_inv
-    while M != ident:
+    while len(word) != length:
         for i in range(n):
-            if all(Minv[r][i] <= 0 for r in range(n)):
-                word.append(i + 1)
-                S = cox.reflection(i + 1)
-                M = _mat_mul(S, M)
-                Minv = _mat_mul(Minv, S)
+            if _nonpositive_column(Minv, i):
                 break
-        else:  # not a group element matrix
-            raise CoxeterError("matrix has no descent but is not the identity")
+        else:       # no left descent: only the identity has none
+            break
+        word.append(i + 1)
+        S = cox.reflection(i + 1)
+        M = _mat_mul(S, M)
+        Minv = _mat_mul(Minv, S)
+    if M != _identity(n):
+        if len(word) == length:
+            raise CoxeterError("carried length %d, but %d descents do not "
+                               "reach the identity" % (length, length))
+        raise CoxeterError("matrix has no descent but is not the identity")
+    if length is not None and len(word) != length:
+        raise CoxeterError("carried length %d, but the identity is reached "
+                           "after %d descents" % (length, len(word)))
     return tuple(word)
 
 
 def identity_element(cox):
     ident = _identity(cox.n)
-    return GroupElement(cox, ident, ident)
+    e = GroupElement(cox, ident, ident)
+    e._length = 0
+    return e
 
 
 def element_from_word(cox, word):
@@ -232,14 +273,12 @@ def element_from_word(cox, word):
 def right_descent(w, i):
     """True iff l(w s_i) < l(w); sign of the root-lattice column w(alpha_i)."""
     w.cox.check_word((i,))
-    col = i - 1
-    return all(w.matrix[r][col] <= 0 for r in range(w.cox.n))
+    return _nonpositive_column(w.matrix, i - 1)
 
 
 def left_descent(w, i):
     w.cox.check_word((i,))
-    col = i - 1
-    return all(w.matrix_inv[r][col] <= 0 for r in range(w.cox.n))
+    return _nonpositive_column(w.matrix_inv, i - 1)
 
 
 def elements_up_to_length(cox, bound):

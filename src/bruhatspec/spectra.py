@@ -22,8 +22,8 @@ class SpectraError(ValueError):
 
 
 class SpectraInputError(SpectraError):
-    """A pipeline names something that does not exist: bad input, not a
-    failed check."""
+    """A pipeline names something that does not exist, or its letters do
+    not form a reduced word: bad input, not a failed check."""
 
 
 def parse_monomial(obj):
@@ -311,7 +311,10 @@ def _step(cox, word, gens, nabla, expans, st):
     searches for a block-respecting isomorphism [1,wbar] -> P.  A step
     without a letter maps by iota . nabla, from the same interval.
     load_pipeline has checked the schedule: a left letter is outside
-    supp(wbar) and comes with delta = 0, so W3 = [1,wbar] and P3 = P.
+    supp(wbar) and comes with delta = 0, so W3 = [1,wbar] and P3 = P.  A
+    letter that is already a descent of wbar on its side makes the word
+    non-reduced; that depends on the schedule alone, so it is bad input
+    (SpectraInputError), found here because it takes group arithmetic.
     """
     a = st.gen
     kind = "none" if a is None else st.side
@@ -319,6 +322,9 @@ def _step(cox, word, gens, nabla, expans, st):
     part = None
     wl = br.word_label
     if kind != "none":
+        if br._DESCENT[kind](nabla.source.base, a):
+            raise SpectraInputError("wbar*a < wbar: wbar must not have a as "
+                                    "%s descent" % kind)
         part = br.partition(cox, nabla.source, a, kind)
     sp = classify(P, gens, st.delta, expans, st.partner)
     if kind == "none" and sp.P3:

@@ -394,3 +394,30 @@ def test_partition_invariants_random_affine(word):
         part = br.partition(AFF, br.interval(AFF, w.word), a)
         assert len(part.W1) == len(part.W2)
         assert len(part.W3) == len(part.W4)
+
+
+def _count_words(monkeypatch):
+    """Counts the canonical words computed from here on."""
+    calls = []
+    real = cx._canonical_word
+    monkeypatch.setattr(cx, "_canonical_word",
+                        lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_interval_computes_one_word_per_element(monkeypatch):
+    """A product that lands on an element the interval already has costs no
+    word: [1, w0] in A4 computes its 120 labels and nothing more."""
+    calls = _count_words(monkeypatch)
+    iv = br.interval(cx.builtin_matrix("A", 4),
+                     (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
+    assert len(iv) == 120 and len(calls) == 120
+
+
+def test_leq_walks_without_words(monkeypatch):
+    """The lifting walk reads lengths and descents, which times_gen
+    carries, so it computes no word."""
+    u, v = el(AFF, (1, 2, 3) * 4), el(AFF, (1, 2, 3) * 5)
+    calls = _count_words(monkeypatch)
+    assert br.bruhat_leq(u, v) and not br.bruhat_leq(v, u)
+    assert calls == []

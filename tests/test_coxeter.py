@@ -249,3 +249,37 @@ def test_roundtrip_affine(word):
 def test_roundtrip_d4(word):
     w = cx.element_from_word(D4, tuple(word))
     assert cx.element_from_word(D4, w.word) == w
+
+
+@pytest.mark.parametrize("m, bound", [(A3, 6), (D4, 5), (AFF, 6)],
+                         ids=["A3", "D4", "affineA2"])
+def test_carried_length_is_the_word_length(m, bound):
+    """times_gen carries each length from its descent test; the word,
+    computed later, has that many letters and gives back the element."""
+    for w in cx.elements_up_to_length(m, bound):
+        length = w.length
+        assert length == len(w.word) and w.length == length
+        assert cx.element_from_word(m, w.word) == w
+
+
+def test_non_group_matrix_fails_at_first_read():
+    """Building an element checks nothing; its word, or its length, which
+    an element built directly reads off its word, raises on first read."""
+    bad = ((2, 0), (0, 1))
+    for read in (lambda w: w.word, lambda w: w.length):
+        w = cx.GroupElement(A2, bad, bad)
+        with pytest.raises(cx.CoxeterError, match="no descent"):
+            read(w)
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_wrong_carried_length_fails_on_word(off):
+    """The greedy steps must end at the identity after exactly the carried
+    length: one too few or one too many is an error."""
+    w = cx.element_from_word(A3, (2, 1, 3, 2))
+    bad = cx.GroupElement(A3, w.matrix, w.matrix_inv)
+    bad._length = w.length + off
+    with pytest.raises(cx.CoxeterError, match="carried length %d"
+                       % (w.length + off)):
+        bad.word
+    assert w.word == (2, 1, 3, 2) and w.length == 4
