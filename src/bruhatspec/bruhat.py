@@ -34,16 +34,18 @@ class BruhatInterval(ps.LabeledPoset):
     """The interval [1, base] as a checked, ranked LabeledPoset.
 
     Built from the elements and down-sets the letter steps made, in any
-    order (bit j of down[i] set iff elements[j] <= elements[i]).  They are
-    sorted once by (length, canonical word); LabeledPoset gets the dotted
-    canonical words as labels, the up-sets, and the lengths as ranks, and
-    checks the order.  `elements[i]` is the element labelled `labels[i]`,
-    and `position` maps each element to its i.
+    order (bit j of down[i] set iff elements[j] <= elements[i]).  Each
+    gets its canonical word from the element below it (cx.derive_words),
+    and they are sorted once by (length, canonical word); LabeledPoset
+    gets the dotted canonical words as labels, the up-sets, and the
+    lengths as ranks, and checks the order.  `elements[i]` is the element
+    labelled `labels[i]`, and `position` maps each element to its i.
     """
 
     __slots__ = ("cox", "base", "elements", "position")
 
     def __init__(self, cox, base, elements, down):
+        cx.derive_words(elements)
         order = sorted(range(len(elements)),
                        key=lambda i: (elements[i].length, elements[i].word))
         pos = {i: k for k, i in enumerate(order)}

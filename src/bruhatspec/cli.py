@@ -30,8 +30,9 @@ def _matrix(arg):
 
 
 def _word(arg):
+    """Comma-separated generator indices; "" is the empty word."""
     try:
-        return tuple(int(t) for t in arg.split(",") if t != "")
+        return tuple(int(t) for t in arg.split(",")) if arg else ()
     except ValueError:
         raise UsageError("malformed word %r (expected comma-separated "
                          "generator indices)" % (arg,))

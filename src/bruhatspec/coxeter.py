@@ -2,7 +2,8 @@
 
 Elements are stored as integer matrices acting on the root lattice, together
 with their length; the canonical (lexicographically least) reduced word is
-computed when first read.  All arithmetic is exact, so finite and affine
+derived from the element below inside an interval, and otherwise computed
+when first read.  All arithmetic is exact, so finite and affine
 groups are handled uniformly.
 """
 
@@ -112,7 +113,16 @@ class CoxeterMatrix:
 
     @classmethod
     def from_json_dict(cls, d):
-        return cls(d["rank"], tuple(tuple(row) for row in d["m"]))
+        """The matrix of a JSON object {"rank": n, "m": rows}."""
+        if not isinstance(d, dict) or not {"rank", "m"} <= d.keys():
+            raise CoxeterError("a Coxeter matrix is an object with rank "
+                               "and m")
+        if not isinstance(d["m"], (list, tuple)):
+            raise CoxeterError("m must be a list of rows")
+        for k, row in enumerate(d["m"], 1):
+            if not isinstance(row, (list, tuple)):
+                raise CoxeterError("row %d of m must be a list" % k)
+        return cls(d["rank"], tuple(map(tuple, d["m"])))
 
 
 def builtin_matrix(family, rank=None):
@@ -156,11 +166,13 @@ class GroupElement:
     """A Coxeter group element: its reflection-representation matrix and
     that matrix's inverse.  Hashable; == and hash read (cox, matrix).
 
-    `word`, the lexicographically least reduced word, is computed on first
-    read and kept on the element.  `length` is carried: `identity_element`
-    starts at 0 and `times_gen` moves it by one, down when s_i is a descent
-    on its side, so reading it forces no word.  An element made by calling
-    GroupElement itself carries no length, and reads it off its word."""
+    `word`, the lexicographically least reduced word, is set by
+    `derive_words` for an interval's elements, and otherwise computed on
+    first read and kept on the element.  `length` is carried:
+    `identity_element` starts at 0 and `times_gen` moves it by one, down
+    when s_i is a descent on its side, so reading it forces no word.  An
+    element made by calling GroupElement itself carries no length, and
+    reads it off its word."""
 
     __slots__ = ("cox", "matrix", "matrix_inv", "_length", "_word")
 
@@ -252,6 +264,37 @@ def _canonical_word(cox, matrix, matrix_inv, length):
         raise CoxeterError("carried length %d, but the identity is reached "
                            "after %d descents" % (length, len(word)))
     return tuple(word)
+
+
+def derive_words(elements):
+    """Give each element of a lower interval that has no word yet its
+    canonical word, read off the element below it.
+
+    The greedy extraction takes w's least left descent i first, so
+    word(w) = (i,) + word(s_i w), and s_i w lies in the same lower interval.
+    Elements are visited by increasing carried length, so s_i w's word is
+    known when w is reached; s_i w must be found with carried length
+    l(w) - 1, or CoxeterError is raised.  The identity, an element with no
+    left descent and one whose s_i w is not in the list (which is then no
+    lower set) keep their greedy word, computed and checked on first read.
+    """
+    found = {w: w for w in elements}
+    for w in sorted(elements, key=lambda w: w.length):
+        if w._word is not None or w._length == 0:
+            continue
+        for i in w.cox.generators:
+            if _nonpositive_column(w.matrix_inv, i - 1):
+                break
+        else:
+            continue
+        below = found.get(w.times_gen(i, "left"))
+        if below is None:
+            continue
+        if below.length != w._length - 1:
+            raise CoxeterError("s_%d w is found with carried length %d, "
+                               "but w carries %d" % (i, below.length,
+                                                     w._length))
+        w._word = (i,) + below.word
 
 
 def identity_element(cox):

@@ -152,17 +152,26 @@ def test_interval_rejects_a_non_order_when_built(down, message):
         br.BruhatInterval(A2, elems[-1], elems, down)
 
 
-def test_partition_reads_products_off_its_letter_step(monkeypatch):
-    """partition forms each product with a once, in its letter step: one
-    per x in [1, w] without a as a descent, plus the new base."""
+def _count_products(monkeypatch):
+    """Records (element, generator, side) for each times_gen call from here
+    on."""
     calls = []
     times_gen = cx.GroupElement.times_gen
 
-    def counted(self, *args):
-        calls.append(args)
-        return times_gen(self, *args)
+    def counted(self, i, side="right"):
+        calls.append((self, i, side))
+        return times_gen(self, i, side)
 
     monkeypatch.setattr(cx.GroupElement, "times_gen", counted)
+    return calls
+
+
+def test_partition_reads_products_off_its_letter_step(monkeypatch):
+    """partition forms each product with a once, in its letter step: one
+    per x in [1, w] without a as a descent, plus the new base.  The only
+    other products are the one left product per new element that reads
+    its word off the element below it."""
+    calls = _count_products(monkeypatch)
     count = 0
     for w in cx.elements_up_to_length(A3, 5):
         iv = br.interval(A3, w.word)
@@ -172,9 +181,13 @@ def test_partition_reads_products_off_its_letter_step(monkeypatch):
                 if descent(w, a):
                     continue
                 calls.clear()
-                br.partition(A3, iv, a, side)
+                part = br.partition(A3, iv, a, side)
                 ascents = sum(not descent(x, a) for x in iv.elements)
-                assert len(calls) == 1 + ascents, (w, a, side)
+                old = [c for c in calls if c[0] in iv.position]
+                assert len(old) == 1 + ascents, (w, a, side)
+                new = [c for c in calls if c[0] not in iv.position]
+                assert len(new) == len(part.W4), (w, a, side)
+                assert {x for x, _, d in new if d == "left"} == part.W4
                 count += 1
     assert count >= 60
 
@@ -397,21 +410,65 @@ def test_partition_invariants_random_affine(word):
 
 
 def _count_words(monkeypatch):
-    """Counts the canonical words computed from here on."""
+    """Records the carried length of each greedy canonical word computed
+    from here on."""
     calls = []
     real = cx._canonical_word
     monkeypatch.setattr(cx, "_canonical_word",
-                        lambda *args: calls.append(1) or real(*args))
+                        lambda *args: calls.append(args[3]) or real(*args))
     return calls
 
 
 def test_interval_computes_one_word_per_element(monkeypatch):
     """A product that lands on an element the interval already has costs no
-    word: [1, w0] in A4 computes its 120 labels and nothing more."""
-    calls = _count_words(monkeypatch)
+    word, and a word is read off the element below: [1, w0] in A4 computes
+    one greedy word, the identity's in 0 steps, and derives the other 119
+    with one left product each (its letter steps are all right products)."""
+    words = _count_words(monkeypatch)
+    products = _count_products(monkeypatch)
     iv = br.interval(cx.builtin_matrix("A", 4),
                      (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
-    assert len(iv) == 120 and len(calls) == 120
+    assert len(iv) == 120 and words == [0]
+    assert sum(side == "left" for _, _, side in products) == 119
+
+
+B3 = cx.CoxeterMatrix(3, ((1, 4, 2), (4, 1, 3), (2, 3, 1)))
+G2 = cx.CoxeterMatrix(2, ((1, 6), (6, 1)))
+INF3 = cx.CoxeterMatrix(3, ((1, cx.INF, 3), (cx.INF, 1, 3), (3, 3, 1)))
+
+
+@pytest.mark.parametrize("m, word, size", [
+    (cx.builtin_matrix("A", 4), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 120),
+    (cx.builtin_matrix("D", 5), (5, 4, 3, 2, 1, 3, 4, 5), 164),
+    (AFF, (1, 2, 3) * 4, 114),
+    (B3, (1, 2, 3) * 3, 48),
+    (G2, (1, 2) * 3, 12),
+    (INF3, (3, 1, 2, 1, 2, 3, 1, 2), 74),
+], ids=["A4-w0", "D5", "affineA2", "B3", "G2", "inf3"])
+def test_derived_words_are_the_greedy_words(monkeypatch, m, word, size):
+    """Every word an interval derives from the element below equals the
+    greedy word of the same matrix, read with no carried length; only the
+    identity's word is greedy."""
+    words = _count_words(monkeypatch)
+    iv = br.interval(m, word)
+    assert len(iv) == size and words == [0]
+    monkeypatch.undo()
+    for w in iv.elements:
+        assert w.word == cx._canonical_word(m, w.matrix, w.matrix_inv, None)
+        assert len(w.word) == w.length
+
+
+@pytest.mark.parametrize("off", [-1, 1])
+def test_derived_word_checks_the_carried_length_below(off):
+    """A word is read off the element below only if that element carries
+    one letter less: one off either way raises."""
+    iv = br.interval(A3, (1, 3, 2))
+    below = iv.elements[-1]          # 1.3.2 = s_2 * 2.1.3.2
+    below._length += off
+    top = el(A3, (2, 1, 3, 2))
+    with pytest.raises(cx.CoxeterError, match="s_2 w is found with carried "
+                       "length %d, but w carries 4" % (3 + off)):
+        cx.derive_words(list(iv.elements) + [top])
 
 
 def test_leq_walks_without_words(monkeypatch):

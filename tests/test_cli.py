@@ -20,9 +20,17 @@ def test_interval_figure1(capsys):
 
 
 def test_interval_malformed_word(capsys):
-    code, _, err = run(capsys, "interval", "--matrix", "A3", "--word", "1,x")
-    assert code == 2
-    assert "malformed word" in err
+    """An empty token in a non-empty word is malformed, not skipped."""
+    for word in ("1,x", "1,,2", ",", "1,2,"):
+        code, _, err = run(capsys, "interval", "--matrix", "A3",
+                           "--word", word)
+        assert code == 2, word
+        assert "malformed word" in err, word
+
+
+def test_interval_empty_word_is_the_identity(capsys):
+    code, out, _ = run(capsys, "interval", "--matrix", "A3", "--word", "")
+    assert (code, out) == (0, "1 elements, ranks 1\n")
 
 
 def test_interval_non_reduced_word(capsys):
@@ -354,6 +362,25 @@ def test_matrix_file_entries_must_be_integers(tmp_path, capsys, matrix,
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("content, message", [
+    ([1, 2], "a Coxeter matrix is an object with rank and m"),
+    ({"rank": 2}, "a Coxeter matrix is an object with rank and m"),
+    ({"rank": 2, "m": 5}, "m must be a list of rows"),
+    ({"rank": 2, "m": [[1, 3], 5]}, "row 2 of m must be a list"),
+], ids=["list", "no-m", "m-not-list", "row-not-list"])
+def test_malformed_matrix_file_names_the_field(tmp_path, capsys, content,
+                                               message):
+    """A malformed matrix file exits 2 with a message that names the bad
+    field, not a Python error about indices or iteration."""
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(content))
+    code, out, err = run(capsys, "interval", "--matrix", str(path),
+                         "--word", "1")
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read Coxeter matrix %r: %s\n" % (
+        str(path), message)
 
 
 @pytest.mark.parametrize("matrix, message", NOT_INTEGERS,
