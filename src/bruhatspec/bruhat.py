@@ -35,8 +35,9 @@ class BruhatInterval(ps.LabeledPoset):
 
     Built from the elements and down-sets the letter steps made, in any
     order (bit j of down[i] set iff elements[j] <= elements[i]).  Each
-    gets its canonical word from the element below it (cx.derive_words),
-    and they are sorted once by (length, canonical word); LabeledPoset
+    gets its canonical word from the element below it, as its letter step
+    recorded it (cx.derive_words), and they are sorted once by (length,
+    canonical word); LabeledPoset
     gets the dotted canonical words as labels, the up-sets, and the
     lengths as ranks, and checks the order.  `elements[i]` is the element
     labelled `labels[i]`, and `position` maps each element to its i.
@@ -93,7 +94,9 @@ def _letter_step(base, elems, position, down, s, side):
     the base this gives the new elements us; with each u whose us is new it
     gives that element's down-set, down(u) | down(u)s.  Inversion is a
     Bruhat automorphism, so on the left [1, su] = [1, u] | s[1, u] and
-    down(su) = down(u) | s down(u).  Works in infinite groups.
+    down(su) = down(u) | s down(u).  Each new element gets the element
+    below it, which its canonical word is read off, from u and the table
+    (cx.record_below), with no further product.  Works in infinite groups.
     """
     descent = _DESCENT[side]
     if descent(base, s):
@@ -109,6 +112,7 @@ def _letter_step(base, elems, position, down, s, side):
             elems.append(us)
         else:
             times[j] = i
+    image = lambda x: elems[times[position[x]]]
     for i in range(n):
         if times[i] >= n:       # a new element, over elems[i]
             ds = down[i]
@@ -116,6 +120,7 @@ def _letter_step(base, elems, position, down, s, side):
                 ds |= 1 << times[k]
             down.append(ds)
             times.append(i)
+            cx.record_below(elems[times[i]], elems[i], s, side, image)
     return base.times_gen(s, side), times
 
 

@@ -2,9 +2,9 @@
 
 Elements are stored as integer matrices acting on the root lattice, together
 with their length; the canonical (lexicographically least) reduced word is
-derived from the element below inside an interval, and otherwise computed
-when first read.  All arithmetic is exact, so finite and affine
-groups are handled uniformly.
+derived inside an interval from the element below, which the letter step
+that made the element records, and otherwise computed when first read.  All
+arithmetic is exact, so finite and affine groups are handled uniformly.
 """
 
 INF = 0  # Coxeter matrix entry m_ij = infinity (also the JSON encoding)
@@ -125,8 +125,17 @@ class CoxeterMatrix:
         return cls(d["rank"], tuple(map(tuple, d["m"])))
 
 
+# The largest rank builtin_matrix makes: its n reflection matrices hold n^3
+# entries, so a larger rank is refused before anything is allocated.
+MAX_BUILTIN_RANK = 64
+
+
 def builtin_matrix(family, rank=None):
-    """The shipped Dynkin types: A_n (chain), D_k (fork at node 3), affine A2."""
+    """The shipped Dynkin types: A_n (chain), D_k (fork at node 3), affine A2,
+    of rank at most MAX_BUILTIN_RANK."""
+    if rank is not None and rank > MAX_BUILTIN_RANK:
+        raise CoxeterError("a builtin matrix has rank at most %d"
+                           % MAX_BUILTIN_RANK)
     if family == "A":
         if rank is None or rank < 1:
             raise CoxeterError("type A requires rank >= 1")
@@ -157,8 +166,13 @@ def matrix_by_name(name):
     """Parse builtin names 'A<k>', 'D<k>', 'affineA2'."""
     if name == "affineA2":
         return builtin_matrix("affineA2")
-    if len(name) >= 2 and name[0] in "AD" and name[1:].isdigit():
-        return builtin_matrix(name[0], int(name[1:]))
+    if len(name) >= 2 and name[0] in "AD" and name[1:].isdecimal():
+        digits = name[1:].lstrip("0")
+        # more digits than the cap has is over it (and int() refuses a
+        # string of more than 4300 digits)
+        if len(digits) > len(str(MAX_BUILTIN_RANK)):
+            return builtin_matrix(name[0], MAX_BUILTIN_RANK + 1)
+        return builtin_matrix(name[0], int(digits or "0"))
     raise CoxeterError("unknown builtin matrix name %r" % (name,))
 
 
@@ -172,9 +186,11 @@ class GroupElement:
     `identity_element` starts at 0 and `times_gen` moves it by one, down
     when s_i is a descent on its side, so reading it forces no word.  An
     element made by calling GroupElement itself carries no length, and
-    reads it off its word."""
+    reads it off its word.  `_below` is (i, s_i*w) for w's least left
+    descent i, recorded by the letter step that made w or by
+    `derive_words`; None until then."""
 
-    __slots__ = ("cox", "matrix", "matrix_inv", "_length", "_word")
+    __slots__ = ("cox", "matrix", "matrix_inv", "_length", "_word", "_below")
 
     def __init__(self, cox, matrix, matrix_inv):
         self.cox = cox
@@ -182,6 +198,7 @@ class GroupElement:
         self.matrix_inv = matrix_inv
         self._length = None
         self._word = None
+        self._below = None
 
     @property
     def word(self):
@@ -266,6 +283,47 @@ def _canonical_word(cox, matrix, matrix_inv, length):
     return tuple(word)
 
 
+def _least_left_descent(w):
+    """The least i with s_i w < w (w^{-1}(alpha_i) <= 0, column i of the
+    inverse matrix), or None for the identity."""
+    for i in w.cox.generators:
+        if _nonpositive_column(w.matrix_inv, i - 1):
+            return i
+    return None
+
+
+def record_below(w, u, s, side, times):
+    """Record on w = u*s_s (side "right") or s_s*u (side "left"), a new
+    element of a letter step from u, the element below it, with no group
+    product; times(x) is x*s_s (or s_s*x) for each x of the step's old
+    interval, which holds every element below u.
+
+    Let i be w's least left descent and i' the one recorded on u.  On the
+    right D_L(u) is in D_L(us), so i <= i'.  If u is the identity or
+    i < i', s_i is a left descent of us but not of u, so s_i us = u by the
+    exchange property; if i = i', s_i us = (s_i u)s = times(below(u)); and
+    i > i' raises CoxeterError.  On the left, s_i su = u when i = s, and
+    s_i su = s(s_i u) = times(below(u)) when i = i' and s_i commutes with
+    s.  Otherwise, or when u carries no record, w gets none and
+    derive_words forms s_i w by a left product.
+    """
+    i = _least_left_descent(w)
+    if u._length == 0 or (side == "left" and i == s):
+        w._below = (i, u)
+    elif u._below is not None:
+        j, below = u._below
+        if side == "left":
+            if i == j and w.cox.entries[i - 1][s - 1] == 2:
+                w._below = (i, times(below))
+        elif i < j:
+            w._below = (i, u)
+        elif i == j:
+            w._below = (i, times(below))
+        else:
+            raise CoxeterError("u is recorded with least left descent s_%d,"
+                               " but u*s_%d has s_%d" % (j, s, i))
+
+
 def derive_words(elements):
     """Give each element of a lower interval that has no word yet its
     canonical word, read off the element below it.
@@ -273,23 +331,29 @@ def derive_words(elements):
     The greedy extraction takes w's least left descent i first, so
     word(w) = (i,) + word(s_i w), and s_i w lies in the same lower interval.
     Elements are visited by increasing carried length, so s_i w's word is
-    known when w is reached; s_i w must be found with carried length
-    l(w) - 1, or CoxeterError is raised.  The identity, an element with no
-    left descent and one whose s_i w is not in the list (which is then no
-    lower set) keep their greedy word, computed and checked on first read.
+    known when w is reached.  s_i w is the element the letter step recorded
+    in `_below`; an element without one forms s_i w by a left product,
+    finds it in the list and records it.  Either way s_i w must carry
+    length l(w) - 1, or CoxeterError is raised.  The identity, an element
+    with no left descent and one whose s_i w is not in the list (which is
+    then no lower set) keep their greedy word, computed and checked on
+    first read.
     """
-    found = {w: w for w in elements}
+    found = None
     for w in sorted(elements, key=lambda w: w.length):
         if w._word is not None or w._length == 0:
             continue
-        for i in w.cox.generators:
-            if _nonpositive_column(w.matrix_inv, i - 1):
-                break
-        else:
-            continue
-        below = found.get(w.times_gen(i, "left"))
-        if below is None:
-            continue
+        if w._below is None:
+            i = _least_left_descent(w)
+            if i is None:
+                continue
+            if found is None:
+                found = {x: x for x in elements}
+            below = found.get(w.times_gen(i, "left"))
+            if below is None:
+                continue
+            w._below = (i, below)
+        i, below = w._below
         if below.length != w._length - 1:
             raise CoxeterError("s_%d w is found with carried length %d, "
                                "but w carries %d" % (i, below.length,

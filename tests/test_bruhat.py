@@ -168,10 +168,13 @@ def _count_products(monkeypatch):
 
 def test_partition_reads_products_off_its_letter_step(monkeypatch):
     """partition forms each product with a once, in its letter step: one
-    per x in [1, w] without a as a descent, plus the new base.  The only
-    other products are the one left product per new element that reads
-    its word off the element below it."""
+    per x in [1, w] without a as a descent, plus the new base.  A right
+    step reads every new element's word off its table with no left
+    product.  A left step does so for a new x = a*u whose least left
+    descent i is a, or commutes with a and is u's least; each other new
+    element costs one left product, which finds the element below it."""
     calls = _count_products(monkeypatch)
+    least = lambda x: min(i for i in A3.generators if cx.left_descent(x, i))
     count = 0
     for w in cx.elements_up_to_length(A3, 5):
         iv = br.interval(A3, w.word)
@@ -186,8 +189,12 @@ def test_partition_reads_products_off_its_letter_step(monkeypatch):
                 old = [c for c in calls if c[0] in iv.position]
                 assert len(old) == 1 + ascents, (w, a, side)
                 new = [c for c in calls if c[0] not in iv.position]
-                assert len(new) == len(part.W4), (w, a, side)
-                assert {x for x, _, d in new if d == "left"} == part.W4
+                served = set() if side == "right" else {
+                    x for x in part.W4 if least(x) != a and not (
+                        A3.entries[least(x) - 1][a - 1] == 2
+                        and least(part.phi[x]) == least(x))}
+                assert len(new) == len(served), (w, a, side)
+                assert {x for x, _, d in new if d == "left"} == served
                 count += 1
     assert count >= 60
 
@@ -423,13 +430,14 @@ def test_interval_computes_one_word_per_element(monkeypatch):
     """A product that lands on an element the interval already has costs no
     word, and a word is read off the element below: [1, w0] in A4 computes
     one greedy word, the identity's in 0 steps, and derives the other 119
-    with one left product each (its letter steps are all right products)."""
+    with no left product, since each letter step records the element below
+    each element it makes."""
     words = _count_words(monkeypatch)
     products = _count_products(monkeypatch)
     iv = br.interval(cx.builtin_matrix("A", 4),
                      (1, 2, 1, 3, 2, 1, 4, 3, 2, 1))
     assert len(iv) == 120 and words == [0]
-    assert sum(side == "left" for _, _, side in products) == 119
+    assert sum(side == "left" for _, _, side in products) == 0
 
 
 B3 = cx.CoxeterMatrix(3, ((1, 4, 2), (4, 1, 3), (2, 3, 1)))
@@ -469,6 +477,41 @@ def test_derived_word_checks_the_carried_length_below(off):
     with pytest.raises(cx.CoxeterError, match="s_2 w is found with carried "
                        "length %d, but w carries 4" % (3 + off)):
         cx.derive_words(list(iv.elements) + [top])
+
+
+def _is_greedy(w):
+    return w.word == cx._canonical_word(w.cox, w.matrix, w.matrix_inv, None)
+
+
+@pytest.mark.parametrize("m, bound", [(A3, 5), (D4, 4)], ids=["A3", "D4"])
+def test_letter_step_words_are_the_greedy_words(m, bound):
+    """The word each letter step's element reads off the element it records
+    below equals the greedy word, for every partition on either side."""
+    count = 0
+    for w in cx.elements_up_to_length(m, bound):
+        iv = br.interval(m, w.word)
+        assert all(map(_is_greedy, iv.elements)), w
+        for a in m.generators:
+            for side, descent in (("right", cx.right_descent),
+                                  ("left", cx.left_descent)):
+                if not descent(w, a):
+                    part = br.partition(m, iv, a, side)
+                    assert all(map(_is_greedy, part.W4)), (w, a, side)
+                    count += 1
+    assert count >= 60
+
+
+def test_letter_step_checks_the_descent_recorded_below():
+    """D_L(u) is in D_L(us), so u's recorded least left descent bounds
+    us's: a u recorded with a smaller descent than its own makes the step
+    raise."""
+    iv = br.interval(A3, (2,))
+    u = iv.elements[-1]                         # s_2, recorded (2, e)
+    assert u._below == (2, iv.elements[0])
+    u._below = (1, iv.elements[0])
+    with pytest.raises(cx.CoxeterError, match="u is recorded with least "
+                       "left descent s_1, but u\\*s_3 has s_2"):
+        br.partition(A3, iv, 3)
 
 
 def test_leq_walks_without_words(monkeypatch):

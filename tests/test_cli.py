@@ -50,6 +50,20 @@ def test_unknown_matrix(capsys):
     assert (code, err) == (2, "error: type D requires at least 4 nodes\n")
 
 
+@pytest.mark.parametrize("name", ["A99999999999", "D65", "A" + "9" * 5000])
+def test_builtin_rank_above_the_cap(capsys, name):
+    """A builtin rank above the cap is refused before a matrix is made,
+    even one too long for int()."""
+    code, out, err = run(capsys, "interval", "--matrix", name, "--word", "1")
+    assert (code, out, err) == (
+        2, "", "error: a builtin matrix has rank at most 64\n")
+
+
+def test_builtin_name_with_non_ascii_digits(capsys):
+    code, _, err = run(capsys, "interval", "--matrix", "A\u00b2", "--word", "1")
+    assert (code, err) == (2, "error: unknown builtin matrix name 'A\u00b2'\n")
+
+
 def test_partition_output(capsys):
     code, out, _ = run(capsys, "partition", "--matrix", "A3",
                        "--word", "2,1,3", "--gen", "2")

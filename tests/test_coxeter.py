@@ -40,6 +40,14 @@ def test_builtin_errors():
         cx.builtin_matrix("A", 0)
 
 
+def test_builtin_rank_cap():
+    assert cx.builtin_matrix("A", cx.MAX_BUILTIN_RANK).n == 64
+    assert cx.matrix_by_name("D064").n == 64
+    for family in ("A", "D"):
+        with pytest.raises(cx.CoxeterError, match="rank at most 64"):
+            cx.builtin_matrix(family, cx.MAX_BUILTIN_RANK + 1)
+
+
 def test_non_crystallographic_rejected():
     with pytest.raises(cx.CoxeterError):
         cx.CoxeterMatrix(2, ((1, 5), (5, 1)))

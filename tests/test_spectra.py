@@ -373,6 +373,16 @@ BUILTINS = {**{"qaffine%d" % n: s_n(n + 1) for n in range(1, 6)},
             "m2-ext-affineA2": affine_n(3)}
 
 
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_final_interval_words_are_the_greedy_words(name):
+    """Every word of a builtin's final interval, read off the element its
+    letter step recorded below, equals the greedy word."""
+    P = sp.run_pipeline(sp.builtin(name)).nabla.source
+    for w in P.elements:
+        assert w.word == cx._canonical_word(w.cox, w.matrix, w.matrix_inv,
+                                            None), name
+
+
 def test_builtins_keep_the_nabla_they_carry(monkeypatch):
     """At every step of every builtin the carried nabla sends W1, W2, W3
     into P1, P2, P3, so no step searches for another."""
