@@ -1,7 +1,9 @@
 """Command-line interface.
 
 Verbs: interval, partition, pushout-check, pipeline, selftest, export.
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 141 the
+reader closed stdout before the output was written (128 + SIGPIPE, as a
+shell reports a process that a closed pipe killed).
 """
 
 import argparse
@@ -197,7 +199,14 @@ def main(argv=None):
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at exit does not raise
+        # again (the idiom of Python's signal documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except UsageError as e:
         print("error: %s" % e, file=sys.stderr)
         return 2

@@ -222,29 +222,37 @@ class PosetMap:
         if extra:
             raise PosetError("map has keys outside its source: %r"
                              % (sorted(extra, key=str)[:3],))
-        # _preserves looks up every image, so an unknown target label
-        # raises there
-        self.order_preserving = _preserves(
-            source, target, [self.assignment[l] for l in source.labels])
-        image = set(self.assignment.values())
+        # index() looks up every image, so an unknown target label raises
+        f = [target.index(self.assignment[l]) for l in source.labels]
+        image = set(f)
         self.injective = len(image) == len(source)
         self.surjective = len(image) == len(target)
-        iso = self.injective and self.surjective and self.order_preserving
-        if iso:
-            inv = {v: k for k, v in self.assignment.items()}
-            iso = _preserves(target, source, [inv[l] for l in target.labels])
-        self.is_isomorphism = iso
+        self.is_isomorphism = is_isomorphism(source, target, f)
+        self.order_preserving = self.is_isomorphism or \
+            _preserves(source, target, f)
 
     def __call__(self, label):
         return self.assignment[label]
 
 
-def _preserves(P, Q, images):
-    """True iff i <= j in P implies images[i] <= images[j] in Q (labels).
-    P's order is the reflexive-transitive closure of its cover edges and
-    Q's is reflexive and transitive, so the cover edges suffice."""
-    f = [Q.index(l) for l in images]
+def _preserves(P, Q, f):
+    """True iff i <= j in P implies f[i] <= f[j] in Q (positions).  P's
+    order is the reflexive-transitive closure of its cover edges and Q's is
+    reflexive and transitive, so the cover edges suffice."""
     return all(Q.up[f[i]] >> f[j] & 1 for i, j in P.hasse)
+
+
+def is_isomorphism(P, Q, f):
+    """True iff f, a sequence of Q's positions indexed by P's, is a
+    bijection onto Q that sends P's cover edges into Q's order and whose
+    inverse sends Q's cover edges into P's order."""
+    n = len(P)
+    if len(Q) != n or len(f) != n or set(f) != set(range(n)):
+        return False
+    inv = [0] * n
+    for i, j in enumerate(f):
+        inv[j] = i
+    return _preserves(P, Q, f) and _preserves(Q, P, inv)
 
 
 def _signatures(P, block_of):

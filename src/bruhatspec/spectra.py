@@ -51,6 +51,12 @@ def label_of(gens):
     return "0" if not gens else ",".join(sorted(gens))
 
 
+def gens_of(label):
+    """The generator set a prime's label names: label_of's inverse, which
+    _check_symbol makes one-to-one."""
+    return frozenset() if label == "0" else frozenset(label.split(","))
+
+
 def _ideal_symbols(gens, expansions):
     """The symbols in <gens>: the least set holding gens and every symbol
     whose declared expansion has a factor of each summand monomial in the
@@ -83,32 +89,34 @@ def in_ideal(m, gens, expansions=None):
     return not _ideal_symbols(gens, expansions or {}).isdisjoint(m)
 
 
-def classify(P, gens_of, delta, expansions=None, partner_override=None):
-    """Split the primes of P into P3 (contain every delta image), P2
-    (delta-invariant), and P1 (the rest).  The partner of a P1 prime is the
-    P2 prime it covers, unique unless an override names one; an override
-    that is not such a prime is bad input (SpectraInputError).  ore_step
-    validates the split."""
+def classify(P, delta, expansions=None, partner_override=None):
+    """Split the primes of P, each named by label_of of its generators, into
+    P3 (contain every delta image), P2 (delta-invariant), and P1 (the rest),
+    as bitsets over P's positions.  The partner of a P1 prime is the P2
+    prime it covers, unique unless an override (by label) names one; an
+    override that is not such a prime is bad input (SpectraInputError).
+    ore_step validates the split."""
     expansions = expansions or {}
     override = partner_override or {}
     all_images = [m for ms in delta.values() for m in ms]
-    P1, P2, P3 = set(), set(), set()
-    for lab in P.labels:
-        g = gens_of[lab]
+    P1 = P2 = P3 = 0
+    for i, lab in enumerate(P.labels):
+        g = gens_of(lab)
         inside = _ideal_symbols(g, expansions)
         if all(not inside.isdisjoint(m) for m in all_images):
-            P3.add(lab)
+            P3 |= 1 << i
         elif all(not inside.isdisjoint(m)
                  for s in g for m in delta.get(s, ())):
-            P2.add(lab)
+            P2 |= 1 << i
         else:
-            P1.add(lab)
-    below = {p: [] for p in P1}     # the P2 primes each P1 prime covers
+            P1 |= 1 << i
+    lab = P.labels
+    below = {lab[p]: [] for p in ps._bits(P1)}  # the P2 primes each covers
     for a, b in P.hasse:
-        if P.labels[b] in P1 and P.labels[a] in P2:
-            below[P.labels[b]].append(P.labels[a])
+        if P1 >> b & 1 and P2 >> a & 1:
+            below[lab[b]].append(lab[a])
     for p, q in sorted(override.items()):
-        if p not in P1:
+        if p not in below:
             raise SpectraInputError("partner override key %r is not a P1 "
                                     "prime" % (p,))
         if q not in below[p]:
@@ -116,15 +124,14 @@ def classify(P, gens_of, delta, expansions=None, partner_override=None):
                 "partner override %r -> %r: the value must be a P2 prime "
                 "that the key covers" % (p, q))
     partner = {}
-    for p in sorted(P1):
+    for p in sorted(below):
         cands = [override[p]] if p in override else below[p]
         if len(cands) != 1:
             raise SpectraError(
                 "partner of %r is ambiguous or missing (candidates %r)"
                 % (p, sorted(cands)))
-        partner[p] = cands[0]
-    return ext.SpectrumPartition(P, frozenset(P1), frozenset(P2),
-                                 frozenset(P3), partner)
+        partner[P.index(p)] = P.index(cands[0])
+    return ext.SpectrumPartition(P, P1, P2, P3, partner)
 
 
 class Step:
@@ -149,12 +156,11 @@ class PipelineSpec:
 
 
 class PipelineResult:
-    def __init__(self, name, word, final_poset, nabla, gens, steps):
+    def __init__(self, name, word, final_poset, nabla, steps):
         self.name = name
         self.word = word
         self.final_poset = final_poset  # ps.LabeledPoset
         self.nabla = nabla              # ps.PosetMap onto final_poset
-        self.gens = gens
         self.steps = steps              # the step reports
 
 
@@ -255,27 +261,24 @@ def load_pipeline(d, name=None):
                         expect=_load_expect(d.get("expect")))
 
 
-def _rewrite_gens(gens, rw):
-    return frozenset(rw.get(s, s) for s in gens)
-
-
 def run_pipeline(spec):
     """Iterate the schedule; returns a PipelineResult or raises SpectraError
     at the first step whose hypotheses cannot be met.
 
-    The interval [1, wbar] is built once, for the empty word, and is always
-    the source of nabla; each lettered step grows it by one letter."""
+    The interval [1, wbar] is built once, for the empty word, and each
+    lettered step grows it by one letter.  nabla: [1, wbar] -> P is carried
+    as a tuple of P's positions indexed by the interval's, and made a
+    PosetMap once, for the result."""
     cox = spec.cox
-    word = ()
-    gens = {"0": frozenset()}
-    nabla = ps.PosetMap(br.interval(cox, ()), ps.singleton("0"), {"e": "0"})
+    word, iv, P, nabla = (), br.interval(cox, ()), ps.singleton("0"), (0,)
     expans = {}
     reports = []
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            word, gens, nabla, rep = _step(cox, word, gens, nabla, expans, st)
+            word, iv, P, nabla, rep = _step(cox, word, iv, P, nabla, expans,
+                                            st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             err = SpectraInputError if isinstance(e, SpectraInputError) \
@@ -283,7 +286,6 @@ def run_pipeline(spec):
             raise err("pipeline %r, step %d (%s): %s"
                       % (spec.name, idx + 1, st.var, e)) from e
         reports.append({"step": idx + 1, "var": st.var, **rep})
-    P = nabla.target
     exp = spec.expect
     if "size" in exp and len(P) != exp["size"]:
         raise SpectraError("pipeline %r: expected %d elements, got %d"
@@ -293,23 +295,24 @@ def run_pipeline(spec):
         raise SpectraError("pipeline %r: rank profile %r, expected %r"
                            % (spec.name, list(P.rank_profile()),
                               list(exp["rank_profile"])))
-    return PipelineResult(spec.name, word, P, nabla, gens, reports)
+    nabla = ps.PosetMap(iv, P, {l: P.labels[j]
+                                for l, j in zip(iv.labels, nabla)})
+    return PipelineResult(spec.name, word, P, nabla, reports)
 
 
-def _step(cox, word, gens, nabla, expans, st):
-    """One Ore step: from nabla: [1,wbar] -> P, whose source is the
-    BruhatInterval [1,wbar], to the next word, generator sets and
-    isomorphism, whose target is the next poset.  Returns (word, gens,
-    nabla, report).
+def _step(cox, word, iv, P, nabla, expans, st):
+    """One Ore step: from nabla: [1,wbar] -> P, a tuple of P's positions
+    indexed by the BruhatInterval iv = [1,wbar], to the next word,
+    interval, poset and nabla.  Returns (word, iv, P, nabla, report).
 
-    Every step classifies P and builds the ranked next poset by ore_step.  A
-    step with a letter a partitions [1, wbar*a] (right) or [1, a*wbar]
-    (left), grown from nabla's source by one letter step; it extends nabla
-    by extend_iso to a map from that interval, which checks hypotheses (a)
-    and (b), and checks the contraction square.  It keeps the nabla it
-    carries if that sends W1,W2,W3 into P1,P2,P3, and only otherwise
-    searches for a block-respecting isomorphism [1,wbar] -> P.  A step
-    without a letter maps by iota . nabla, from the same interval.
+    Every step classifies P and builds the ranked next poset by ore_step,
+    whose old copy keeps P's positions.  A step with a letter a partitions
+    [1, wbar*a] (right) or [1, a*wbar] (left), grown from iv by one letter
+    step; extend_iso extends nabla to that interval, checking hypotheses
+    (a) and (b), and the contraction square is checked.  It keeps the
+    nabla it carries if that sends W1,W2,W3 into P1,P2,P3, and only
+    otherwise searches for a block-respecting isomorphism [1,wbar] -> P.
+    A step without a letter keeps nabla, checked onto the next poset.
     load_pipeline has checked the schedule: a left letter is outside
     supp(wbar) and comes with delta = 0, so W3 = [1,wbar] and P3 = P.  A
     letter that is already a descent of wbar on its side makes the word
@@ -318,50 +321,48 @@ def _step(cox, word, gens, nabla, expans, st):
     """
     a = st.gen
     kind = "none" if a is None else st.side
-    P = nabla.target
     part = None
-    wl = br.word_label
     if kind != "none":
-        if br._DESCENT[kind](nabla.source.base, a):
+        if br._DESCENT[kind](iv.base, a):
             raise SpectraInputError("wbar*a < wbar: wbar must not have a as "
                                     "%s descent" % kind)
-        part = br.partition(cox, nabla.source, a, kind)
-    sp = classify(P, gens, st.delta, expans, st.partner)
+        part = br.partition(cox, iv, a, kind)
+    sp = classify(P, st.delta, expans, st.partner)
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
-    blocks = () if part is None else \
-        ((part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3))
-    if any(nabla(wl(w)) not in Q for W, Q in blocks for w in W):
-        nabla = ps.find_isomorphism(
-            nabla.source, P,
-            [(sorted(wl(w) for w in W), sorted(Q)) for W, Q in blocks])
-        if nabla is None:
-            raise SpectraError(
-                "no block-respecting isomorphism [1,wbar] -> P "
-                "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
-                % tuple([len(W) for W, _ in blocks] +
-                        [len(Q) for _, Q in blocks]))
-    rewritten = {p: _rewrite_gens(gens[p], st.rewrite) for p in sp.P1}
-    grown = {q: gens[q] | {st.var} for q in sp.P3}
-    newlab = {q: label_of(g) for q, g in grown.items()}
-    setup = ext.ore_step(sp, newlab,
-                         {p: label_of(g) for p, g in rewritten.items()})
+    if part is not None:
+        blocks = [(sum(1 << iv.position[w] for w in W), Q)
+                  for W, Q in ((part.W1, sp.P1), (part.W2, sp.P2),
+                               (part.W3, sp.P3))]
+        if any(not Q >> nabla[i] & 1 for W, Q in blocks for i in ps._bits(W)):
+            names = lambda Q, S: sorted(Q.labels[i] for i in ps._bits(S))
+            found = ps.find_isomorphism(
+                iv, P, [(names(iv, W), names(P, Q)) for W, Q in blocks])
+            if found is None:
+                raise SpectraError(
+                    "no block-respecting isomorphism [1,wbar] -> P "
+                    "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
+                    % tuple([W.bit_count() for W, _ in blocks] +
+                            [Q.bit_count() for _, Q in blocks]))
+            nabla = tuple(P.index(found(l)) for l in iv.labels)
+    gens = lambda i: gens_of(P.labels[i])
+    setup = ext.ore_step(
+        sp, {q: label_of(gens(q) | {st.var}) for q in ps._bits(sp.P3)},
+        {p: label_of({st.rewrite.get(s, s) for s in gens(p)})
+         for p in ps._bits(sp.P1)})
     rep = {"kind": kind, "gen": a,
-           "sizes": {"P": len(sp.P), "P1": len(sp.P1), "P2": len(sp.P2),
-                     "P3": len(sp.P3), "new": len(setup.Ptilde)}}
+           "sizes": {"P": len(P), "P1": sp.P1.bit_count(),
+                     "P2": sp.P2.bit_count(), "P3": sp.P3.bit_count(),
+                     "new": len(setup.Ptilde)}}
     if part is None:
-        nablat = ps.PosetMap(nabla.source, setup.Ptilde,
-                             {l: setup.iota[nabla(l)]
-                              for l in nabla.source.labels})
-        if not nablat.is_isomorphism:
+        if not ps.is_isomorphism(iv, setup.Ptilde, nabla):
             raise SpectraError("none-step extension is not an isomorphism")
     else:
         word = word + (a,) if kind == "right" else (a,) + word
         nablat = ext.extend_iso(nabla, part, setup)
         ext.commuting_square(nabla, nablat, part, setup)
-    new_gens = {setup.iota[p]: rewritten.get(p, gens[p]) for p in P.labels}
-    new_gens.update({newlab[q]: g for q, g in grown.items()})
-    return word, new_gens, nablat, rep
+        iv, nabla = part.interval_wbara, nablat
+    return word, iv, setup.Ptilde, nabla, rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Reference versions of checks the package does a faster way.
 
 `poset.LabeledPoset` checks an order and reads its covers in about one step
-per cover edge, and `poset._preserves` tests a map on cover edges only.
-The functions here do the same jobs the plain way, one step per relation,
-so property tests can hold the fast checks to the same verdicts, messages
-and results.  `in_ideal` is the recursive ideal membership that
+per cover edge, and `poset._preserves` and `poset.is_isomorphism` test a
+map, given as positions, on cover edges only.  The functions here do the
+same jobs the plain way, one step per relation and on labels, so property
+tests can hold the fast checks to the same verdicts, messages and results.  `in_ideal` is the recursive ideal membership that
 `spectra.in_ideal` replaced by an iterative closure.
 """
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -329,6 +332,26 @@ def test_export_to_file(tmp_path, capsys):
                      "--format", "json", "--output", str(path))
     assert code == 0
     assert json.loads(path.read_text())["elements"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["pipeline", "--builtin", "qaffine2", "--format", "json"],
+    ["export", "--matrix", "A2", "--word", "1,2", "--format", "dot"],
+])
+def test_closed_pipe_exits_141_without_a_traceback(argv):
+    """The pipe's read end is closed before the CLI starts, so every write
+    to stdout fails with EPIPE: the CLI exits 141, not 1, and prints
+    nothing to stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "bruhatspec.cli"] + argv,
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              text=True, env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def _expansion_chain_file(tmp_path, name, depth):

@@ -19,17 +19,37 @@ def chain2(lo="0", hi="x1"):
     return ps.build([lo, hi], [(lo, hi)])
 
 
+def mask(P, labels):
+    """The bitset over P's positions of the given labels."""
+    return sum(1 << P.index(l) for l in labels)
+
+
+def blocks(P, P1, P2, P3, partner):
+    """A SpectrumPartition given by labels."""
+    return ext.SpectrumPartition(
+        P, mask(P, P1), mask(P, P2), mask(P, P3),
+        {P.index(p): P.index(q) for p, q in partner.items()})
+
+
 def sp_all_p3(P):
-    return ext.SpectrumPartition(P, frozenset(), frozenset(),
-                                 frozenset(P.labels), {})
+    return ext.SpectrumPartition(P, 0, 0, (1 << len(P)) - 1, {})
+
+
+def as_tuple(source, target, assignment):
+    """A label dict source -> target as a tuple of target positions."""
+    return tuple(target.index(assignment[l]) for l in source.labels)
+
+
+def as_dict(f, source, target):
+    """A tuple of target positions, indexed by source's, as a label dict."""
+    return {source.labels[i]: target.labels[j] for i, j in enumerate(f)}
 
 
 def minimal_setup():
     """Ptilde = {p < q}, P = {p}, Px = {q}, PhiTilde constant p: the step
     over the one-prime poset {p}, all of it in P3."""
     T = ps.build(["p", "q"], [("p", "q")])
-    return ext.SetupData(Ptilde=T, P=frozenset(["p"]), Px=frozenset(["q"]),
-                         phi={"p": "p", "q": "p"}, iota={"p": "p"},
+    return ext.SetupData(Ptilde=T, phi=(0, 0),
                          source=sp_all_p3(ps.singleton("p")))
 
 
@@ -41,13 +61,13 @@ def test_setup_data_requires_a_source():
     """commuting_square reads the source's P3, so a setup has one."""
     s = minimal_setup()
     with pytest.raises(TypeError, match="source"):
-        ext.SetupData(Ptilde=s.Ptilde, P=s.P, Px=s.Px, phi=s.phi,
-                      iota=s.iota)
+        ext.SetupData(Ptilde=s.Ptilde, phi=s.phi)
 
 
 def test_validate_setup_upper_set_fail():
-    s = minimal_setup()
-    s.P, s.Px = s.Px, s.P
+    """The minimal setup with the roles of p and q swapped: the old copy
+    is q, and the x-prime p lies below it."""
+    s = _setup([("p", "q")], {"q"}, {"p"}, {"p": "q", "q": "q"})
     with pytest.raises(ext.ExtensionError,
                        match="^Px is not an upper set of Ptilde$"):
         ext.validate_setup(s)
@@ -55,18 +75,20 @@ def test_validate_setup_upper_set_fail():
 
 def test_validate_setup_phi_above_fail():
     T = ps.build(["p", "q", "r"], [("p", "q"), ("p", "r")])
-    s = ext.SetupData(Ptilde=T, P=frozenset(["p", "q"]), Px=frozenset(["r"]),
-                      phi={"p": "p", "q": "q", "r": "q"}, iota={},
+    s = ext.SetupData(Ptilde=T, phi=(0, 1, 1),
                       source=sp_all_p3(ps.build(["p", "q"], [])))
     with pytest.raises(ext.ExtensionError, match="^PhiTilde\\(q\\) !<= r$"):
         ext.validate_setup(s)
 
 
 def _setup(relations, P, Px, phi):
-    """validate_setup reads neither iota nor the source."""
-    labels = sorted(set(P) | set(Px) | {x for r in relations for x in r})
-    return ext.SetupData(Ptilde=ps.build(labels, relations),
-                         P=frozenset(P), Px=frozenset(Px), phi=phi, iota={},
+    """Ptilde on the old primes P, then the x-primes Px, each in label
+    order, with PhiTilde given by labels; a key of phi that Ptilde lacks
+    adds an entry past Ptilde's last position.  validate_setup reads only
+    the size of the source."""
+    T = ps.build(sorted(P) + sorted(Px), relations)
+    keys = list(T.labels) + sorted(set(phi) - set(T.labels))
+    return ext.SetupData(Ptilde=T, phi=tuple(T.index(phi[l]) for l in keys),
                          source=sp_all_p3(ps.build(sorted(P), [])))
 
 
@@ -79,8 +101,6 @@ def _setup(relations, P, Px, phi):
 # other by the Px-isomorphism clause, which antisymmetry forbids, so its
 # case is caught by that clause.
 CLAUSE_MUTANTS = [
-    (_setup([], {"t"}, {"t"}, {"t": "t"}),
-     "P, Px must partition Ptilde"),
     (_setup([("c", "a"), ("a", "b")], {"c", "b"}, {"a"},
             {"c": "c", "b": "b", "a": "c"}),
      "Px is not an upper set of Ptilde"),
@@ -107,7 +127,11 @@ CLAUSE_MUTANTS = [
 ]
 
 
-@pytest.mark.parametrize("setup, message", CLAUSE_MUTANTS)
+# The ids count from 1 so that each case keeps the id it had while the list
+# began with the "P, Px must partition Ptilde" case, a clause that the
+# fixed layout (old copy first, x-primes after it) can no longer break.
+@pytest.mark.parametrize("setup, message", CLAUSE_MUTANTS, ids=[
+    "setup%d-%s" % (k, m) for k, (_, m) in enumerate(CLAUSE_MUTANTS, 1)])
 def test_each_broken_setup_clause_gives_its_message(setup, message):
     with pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(message)):
         ext.validate_setup(setup)
@@ -116,28 +140,30 @@ def test_each_broken_setup_clause_gives_its_message(setup, message):
 def test_derive_partners():
     """The partner of a P1 prime is the P2 prime it covers: an error when
     there is none or more than one, unless the override names one."""
-    gens = {l: frozenset(l) - {"0"} for l in "01ac"}
     delta = {"a": (("c",),)}       # a is P1, c is P3, 0 and 1 are P2
     P = ps.build(["0", "a", "c"], [("0", "a"), ("0", "c")])
-    sp = spectra.classify(P, gens, delta)
-    assert (sp.P1, sp.P2, sp.partner) == ({"a"}, {"0"}, {"a": "0"})
+    sp = spectra.classify(P, delta)
+    assert (sp.P1, sp.P2, sp.partner) == (mask(P, ["a"]), mask(P, ["0"]), {1: 0})
     C = ps.build(["c", "a"], [("c", "a")])
     with pytest.raises(spectra.SpectraError, match=re.escape(
             "partner of 'a' is ambiguous or missing (candidates [])")):
-        spectra.classify(C, gens, delta)
+        spectra.classify(C, delta)
     D = ps.build(["0", "1", "a"], [("0", "a"), ("1", "a")])
     with pytest.raises(spectra.SpectraError, match=re.escape(
             "partner of 'a' is ambiguous or missing (candidates "
             "['0', '1'])")):
-        spectra.classify(D, gens, delta)
-    assert spectra.classify(D, gens, delta,
-                            partner_override={"a": "1"}).partner == {"a": "1"}
+        spectra.classify(D, delta)
+    assert spectra.classify(D, delta,
+                            partner_override={"a": "1"}).partner == {2: 1}
 
 
-def ore(sp, label_of_new, **kwargs):
+def ore(sp, label_of_new, relabel=()):
     """ore_step with the new label of each P3 prime q given as a function
-    of q."""
-    return ext.ore_step(sp, {q: label_of_new(q) for q in sp.P3}, **kwargs)
+    of q's label, and relabel keyed by label."""
+    P = sp.P
+    return ext.ore_step(
+        sp, {q: label_of_new(P.labels[q]) for q in ps._bits(sp.P3)},
+        {P.index(l): new for l, new in dict(relabel).items()})
 
 
 def test_ore_step_delta0_gives_product():
@@ -146,22 +172,22 @@ def test_ore_step_delta0_gives_product():
     assert len(setup.Ptilde) == 4
     prod = ps.product(P, ps.two_chain())
     assert ps.find_isomorphism(setup.Ptilde, prod) is not None
-    iota = setup.iota
-    assert len(set(iota.values())) == len(P)
-    assert all(setup.Ptilde.leq(iota[p], iota[q])
-               for p in P.labels for q in P.labels if P.leq(p, q))
+    # the old copy keeps P's positions and order
+    old = (1 << len(P)) - 1
+    assert [u & old for u in setup.Ptilde.up[:len(P)]] == list(P.up)
     ext.validate_setup(setup)
 
 
 def test_ore_step_unit_delta_weyl_base():
     # first quantized Weyl step: P3 empty, the x1-prime projects to 0
     P = chain2()
-    sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]),
-                               frozenset(), {"x1": "0"})
-    setup = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
-    assert len(setup.Ptilde) == 2
-    assert sorted(setup.Ptilde.labels) == ["0", "Omega1"]
-    assert setup.phi["Omega1"] == "0"   # projection through the partner
+    sp = blocks(P, ["x1"], ["0"], [], {"x1": "0"})
+    setup = ext.ore_step(sp, {}, {P.index("x1"): "Omega1"})
+    T = setup.Ptilde
+    assert len(T) == 2
+    assert sorted(T.labels) == ["0", "Omega1"]
+    # projection through the partner
+    assert T.labels[setup.phi[T.index("Omega1")]] == "0"
     ext.validate_setup(setup)
 
 
@@ -178,9 +204,8 @@ def test_ore_step_qmatrix_sizes():
             if s < t:
                 rels.append((lab(s), lab(t)))
     P = ps.build(labels, rels)
-    P3 = frozenset(lab(s) for s in subsets if s & {"x2", "x3"})
-    sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]), P3,
-                               {"x1": "0"})
+    P3 = [lab(s) for s in subsets if s & {"x2", "x3"}]
+    sp = blocks(P, ["x1"], ["0"], P3, {"x1": "0"})
     setup = ore(sp, lambda q: q + ",x4", relabel={"x1": "Dq"})
     assert len(setup.Ptilde) == 14
     iv = br.interval(A3, (2, 1, 3, 2)).to_poset()
@@ -189,8 +214,7 @@ def test_ore_step_qmatrix_sizes():
 
 def test_ore_step_partner_missing():
     P = chain2()
-    sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]),
-                               frozenset(), {})
+    sp = blocks(P, ["x1"], ["0"], [], {})
     with pytest.raises(ext.ExtensionError):
         ext.ore_step(sp, {})
 
@@ -198,11 +222,11 @@ def test_ore_step_partner_missing():
 def test_extend_iso_trivial():
     part = br.partition(A2, br.interval(A2, ()), 1)
     setup = ore(sp_all_p3(ps.build(["0"], [])), lambda q: "x1")
-    nabla = ps.PosetMap(part.interval_wbar.to_poset(), ps.build(["0"], []),
-                        {"e": "0"})
+    nabla = (0,)
     nablat = ext.extend_iso(nabla, part, setup)
-    assert nablat.is_isomorphism
-    assert nablat("e") == "0" and nablat("1") == "x1"
+    iva = part.interval_wbara
+    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
+    assert as_dict(nablat, iva, setup.Ptilde) == {"e": "0", "1": "x1"}
     ext.commuting_square(nabla, nablat, part, setup)
 
 
@@ -210,17 +234,12 @@ def test_extend_iso_hypothesis_a_failure():
     # wrong block: pretend everything is already above delta(R)
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
-    sp = ext.SpectrumPartition(P, frozenset(), frozenset(),
-                               frozenset(P.labels), {})
+    sp = sp_all_p3(P)
     setup = ore(sp, lambda q: q + "+x")
-    # nabla maps W3 onto P, but swap labels so nabla(W3) != PhiTilde(Px)
-    bad_setup = ext.SetupData(
-        Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
-        phi=dict(setup.phi), iota={"0": "0", "x1": "x1"},
-        source=sp)
-    bad_setup.phi["x1+x"] = "0"   # now PhiTilde(Px) = {0} != nabla(W3)
-    nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
-                        {"e": "0", "1": "x1"})
+    # nabla maps W3 onto P, but PhiTilde(x1+x) = 0, so PhiTilde(Px) = {0}
+    # != nabla(W3)
+    bad_setup = _with(setup, phi={"x1+x": "0"})
+    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
     with pytest.raises(ext.ExtensionError, match="hypothesis \\(a\\)"):
         ext.extend_iso(nabla, part, bad_setup)
 
@@ -230,16 +249,14 @@ def test_extend_iso_left_step():
     part = br.partition(A2, br.interval(A2, (1,)), 2, side="left")
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
-    nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
-                        {"e": "0", "1": "x1"})
+    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
-    assert nablat.is_isomorphism
-    assert nablat("2") == "0,x2" and nablat("2.1") == "x1,x2"
+    iva = part.interval_wbara
+    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
+    named = as_dict(nablat, iva, setup.Ptilde)
+    assert named["2"] == "0,x2" and named["2.1"] == "x1,x2"
     ext.commuting_square(nabla, nablat, part, setup)
-    bad = ext.SetupData(Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
-                        phi=dict(setup.phi), iota=setup.iota,
-                        source=setup.source)
-    bad.phi["x1,x2"] = "0"    # PhiTilde(Px) = {0} != nabla(W3)
+    bad = _with(setup, phi={"x1,x2": "0"})  # PhiTilde(Px) = {0} != nabla(W3)
     with pytest.raises(ext.ExtensionError, match="hypothesis \\(a\\)"):
         ext.extend_iso(nabla, part, bad)
 
@@ -259,9 +276,8 @@ def test_ore_step_rejects_non_transitive_order():
     P = ps.build(["z", "u", "t", "p", "p'", "q"],
                  [("z", "u"), ("z", "t"), ("u", "p"), ("p", "p'"),
                   ("t", "p'"), ("t", "q")])
-    sp = ext.SpectrumPartition(P, frozenset(["p", "p'"]),
-                               frozenset(["z", "u", "t"]), frozenset(["q"]),
-                               {"p": "u", "p'": "t"})
+    sp = blocks(P, ["p", "p'"], ["z", "u", "t"], ["q"],
+                {"p": "u", "p'": "t"})
     sp.validate()
     with pytest.raises(ps.PosetError, match="order not transitive"):
         ore(sp, lambda q: q + "x")
@@ -272,11 +288,11 @@ def test_extend_iso_delta0_step():
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
-    nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
-                        {"e": "0", "1": "x1"})
+    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
-    assert nablat.is_isomorphism
-    assert nablat("2") == "0,x2"
+    iva = part.interval_wbara
+    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
+    assert as_dict(nablat, iva, setup.Ptilde)["2"] == "0,x2"
     ext.commuting_square(nabla, nablat, part, setup)
 
 
@@ -284,24 +300,23 @@ def test_extend_iso_restriction_formula():
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
-    nabla = ps.PosetMap(part.interval_wbar.to_poset(), P,
-                        {"e": "0", "1": "x1"})
+    iv, iva = part.interval_wbar, part.interval_wbara
+    nabla = as_tuple(iv, P, {"e": "0", "1": "x1"})
     nablat = ext.extend_iso(nabla, part, setup)
-    for w in part.interval_wbar.elements:
-        assert nablat(br.word_label(w)) == setup.iota[nabla(br.word_label(w))]
+    # the old copy keeps P's positions, so nablat restricts to nabla
+    for w in iv.elements:
+        assert nablat[iva.position[w]] == nabla[iv.position[w]]
 
 
 def test_commuting_square_weyl_fiber_over_partner():
     """With P1 nonempty and P3 empty the contraction has a 2-element fiber
     over the partner, and no fibers containing new primes at all."""
     P = chain2()
-    sp = ext.SpectrumPartition(P, frozenset(["x1"]), frozenset(["0"]),
-                               frozenset(), {"x1": "0"})
-    setup = ext.ore_step(sp, {}, relabel={"x1": "Omega1"})
+    sp = blocks(P, ["x1"], ["0"], [], {"x1": "0"})
+    setup = ext.ore_step(sp, {}, {P.index("x1"): "Omega1"})
     fibers = {}
-    inv_iota = {v: k for k, v in setup.iota.items()}
-    for t in setup.Ptilde.labels:
-        fibers.setdefault(inv_iota[setup.phi[t]], set()).add(t)
+    for t, b in enumerate(setup.phi):
+        fibers.setdefault(P.labels[b], set()).add(setup.Ptilde.labels[t])
     assert fibers == {"0": {"0", "Omega1"}}
 
 
@@ -311,11 +326,8 @@ def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
     code = ("from bruhatspec import extension as ext, poset as ps\n"
             "T = ps.build(['a', 'b', 'x', 'y'], [('a', 'x'), ('b', 'y')])\n"
             "src = ext.SpectrumPartition(ps.build(['a', 'b'], []),\n"
-            "                            frozenset(), frozenset(),\n"
-            "                            frozenset('ab'), {})\n"
-            "s = ext.SetupData(Ptilde=T, P=frozenset('ab'),\n"
-            "                  Px=frozenset('xy'), iota={}, source=src,\n"
-            "                  phi={'a': 'a', 'b': 'b', 'x': 'b', 'y': 'a'})\n"
+            "                            0, 0, 0b11, {})\n"
+            "s = ext.SetupData(Ptilde=T, source=src, phi=(0, 1, 1, 0))\n"
             "try:\n"
             "    ext.validate_setup(s)\n"
             "except ext.ExtensionError as e:\n"
@@ -330,14 +342,11 @@ def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
 
 
 @pytest.mark.parametrize("sp, message", [
-    (ext.SpectrumPartition(chain2(), frozenset(), frozenset(["0"]),
-                           frozenset(), {}),
+    (blocks(chain2(), [], ["0"], [], {}),
      "P1|P2|P3 does not cover P"),
-    (ext.SpectrumPartition(chain2(), frozenset(["x1"]),
-                           frozenset(["0", "x1"]), frozenset(), {"x1": "0"}),
+    (blocks(chain2(), ["x1"], ["0", "x1"], [], {"x1": "0"}),
      "P1/P2/P3 not disjoint"),
-    (ext.SpectrumPartition(chain2(), frozenset(["x1"]), frozenset(["0"]),
-                           frozenset(), {"x1": "x1"}),
+    (blocks(chain2(), ["x1"], ["0"], [], {"x1": "x1"}),
      "partner of 'x1' must be a P2 prime it covers"),
 ], ids=["cover", "disjoint", "partner"])
 def test_each_broken_spectrum_partition_gives_its_message(sp, message):
@@ -355,22 +364,28 @@ def qmatrix2_last_step(monkeypatch):
                         lambda *args: seen.append(args) or extend_iso(*args))
     spectra.run_pipeline(spectra.builtin("qmatrix2"))
     nabla, part, setup = seen[-1]
-    assert nabla("2") == "x1" and setup.iota["x1"] == "Dq"
-    assert nabla("e") == "0" and setup.phi["Dq"] == "0"
+    P, T = setup.source.P, setup.Ptilde
+    named = as_dict(nabla, part.interval_wbar, P)
+    assert named["2"] == "x1" and T.labels[P.index("x1")] == "Dq"
+    assert named["e"] == "0" and T.labels[setup.phi[T.index("Dq")]] == "0"
     return nabla, part, setup
 
 
-def _with(setup, **changes):
-    fields = dict(Ptilde=setup.Ptilde, P=setup.P, Px=setup.Px,
-                  phi=dict(setup.phi), iota=setup.iota, source=setup.source)
+def _with(setup, phi=(), **changes):
+    """setup with some fields replaced, and PhiTilde sent to new images at
+    the primes named in phi, a dict of labels."""
+    T = changes.get("Ptilde", setup.Ptilde)
+    f = list(setup.phi)
+    for p, q in dict(phi).items():
+        f[T.index(p)] = T.index(q)
+    fields = dict(Ptilde=setup.Ptilde, phi=tuple(f), source=setup.source)
     return ext.SetupData(**{**fields, **changes})
 
 
 def test_extend_iso_rejects_a_nabla_that_is_no_isomorphism(
         qmatrix2_last_step):
     nabla, part, setup = qmatrix2_last_step
-    flat = ps.PosetMap(nabla.source, nabla.target,
-                       {l: "0" for l in nabla.source.labels})
+    flat = (setup.source.P.index("0"),) * len(nabla)
     with pytest.raises(ext.ExtensionError,
                        match="^nabla is not an isomorphism$"):
         ext.extend_iso(flat, part, setup)
@@ -380,8 +395,7 @@ def test_extend_iso_hypothesis_b_failure(qmatrix2_last_step):
     """PhiTilde(Dq) = Dq leaves PhiTilde(Px) alone, so (a) holds, but
     PhiTilde(nabla(2)) is no longer nabla(Phi(2)) = nabla(e) = 0."""
     nabla, part, setup = qmatrix2_last_step
-    bad = _with(setup)
-    bad.phi["Dq"] = "Dq"
+    bad = _with(setup, phi={"Dq": "Dq"})
     with pytest.raises(ext.ExtensionError, match=re.escape(
             "hypothesis (b) fails at 2: PhiTilde(nabla(w))=Dq, "
             "nabla(Phi(w))=0")):
@@ -412,20 +426,20 @@ def test_commuting_square_reports_each_failure(qmatrix2_last_step):
             "commuting square fails: " + ", ".join(clauses)))
 
     # nablat with the images of 1 and 3 (both in W3) swapped
-    swapped = dict(nablat.assignment, **{"1": nablat("3"), "3": nablat("1")})
-    bad = ps.PosetMap(nablat.source, nablat.target, swapped)
+    i, j = map(part.interval_wbara.index, ("1", "3"))
+    bad = list(nablat)
+    bad[i], bad[j] = nablat[j], nablat[i]
     with fails("square_commutes"):
         ext.commuting_square(nabla, bad, part, setup)
     # PhiTilde(x2) = 0 puts 0, Dq and x2 in one fiber, and leaves the
     # x-prime over x2 without x2 in its fiber
-    three = _with(setup)
-    three.phi["x2"] = "0"
+    three = _with(setup, phi={"x2": "0"})
     with fails("square_commutes", "at_most_2_1", "new_fibers_over_P3"):
         ext.commuting_square(nabla, nablat, part, three)
     # a source partition whose P3 misses x2 no longer matches the fibers
     # that hold an x-prime
     src = setup.source
-    short = ext.SpectrumPartition(src.P, src.P1, src.P2, src.P3 - {"x2"},
-                                  src.partner)
+    short = ext.SpectrumPartition(src.P, src.P1, src.P2,
+                                  src.P3 & ~mask(src.P, ["x2"]), src.partner)
     with fails("new_fibers_over_P3"):
         ext.commuting_square(nabla, nablat, part, _with(setup, source=short))

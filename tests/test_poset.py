@@ -426,11 +426,14 @@ def test_cover_edge_map_check_matches_the_relation_scan(d1, d2, data):
         data.draw(st.booleans()) else \
         data.draw(st.lists(st.sampled_from(Q.labels), min_size=len(P),
                            max_size=len(P)))
-    assert ps._preserves(P, Q, images) == \
+    positions = [Q.index(l) for l in images]
+    assert ps._preserves(P, Q, positions) == \
         reference.preserves_scan(P, Q, images)
     f = ps.PosetMap(P, Q, dict(zip(P.labels, images)))
     inverse = {v: k for k, v in f.assignment.items()}
-    assert f.is_isomorphism == (
-        f.injective and f.surjective and
-        reference.preserves_scan(P, Q, images) and
-        reference.preserves_scan(Q, P, [inverse[l] for l in Q.labels]))
+    iso = f.injective and f.surjective and \
+        reference.preserves_scan(P, Q, images) and \
+        reference.preserves_scan(Q, P, [inverse[l] for l in Q.labels])
+    assert f.is_isomorphism == iso
+    assert ps.is_isomorphism(P, Q, positions) == iso
+    assert f.order_preserving == reference.preserves_scan(P, Q, images)

@@ -110,38 +110,46 @@ def test_in_ideal_monotone(small, extra):
 
 
 def cube_model():
-    """Boolean lattice on x1,x2,x3 with its generator sets."""
+    """Boolean lattice on x1,x2,x3, each prime labelled by its generator
+    set."""
     subsets = [frozenset(c) for k in range(4)
                for c in itertools.combinations(["x1", "x2", "x3"], k)]
     labels = [sp.label_of(s) for s in subsets]
     rels = [(sp.label_of(s), sp.label_of(t))
             for s in subsets for t in subsets if s < t]
-    P = ps.build(labels, rels)
-    return P, {sp.label_of(s): s for s in subsets}
+    return ps.build(labels, rels)
+
+
+def names(P, S):
+    """The labels of the bitset S over P's positions."""
+    return {P.labels[i] for i in ps._bits(S)}
+
+
+def test_gens_of_inverts_label_of():
+    for g in (frozenset(), frozenset(["x1"]), frozenset(["Dq", "x2", "y1"])):
+        assert sp.gens_of(sp.label_of(g)) == g
 
 
 def test_classify_qmatrices():
-    P, gens = cube_model()
-    part = sp.classify(P, gens, {"x1": (mon("x2", "x3"),)})
-    assert part.P1 == frozenset(["x1"])
-    assert part.P2 == frozenset(["0"])
-    assert len(part.P3) == 6
-    assert part.partner == {"x1": "0"}
+    P = cube_model()
+    part = sp.classify(P, {"x1": (mon("x2", "x3"),)})
+    assert names(P, part.P1) == {"x1"}
+    assert names(P, part.P2) == {"0"}
+    assert part.P3.bit_count() == 6
+    assert part.partner == {P.index("x1"): P.index("0")}
 
 
 def test_classify_delta_zero():
-    P, gens = cube_model()
-    part = sp.classify(P, gens, {})
-    assert not part.P1 and not part.P2 and len(part.P3) == 8
+    part = sp.classify(cube_model(), {})
+    assert not part.P1 and not part.P2 and part.P3.bit_count() == 8
 
 
 def test_classify_weyl_unit():
     P = ps.build(["0", "x1"], [("0", "x1")])
-    gens = {"0": frozenset(), "x1": frozenset(["x1"])}
-    part = sp.classify(P, gens, {"x1": ((),)})
-    assert part.P3 == frozenset()
-    assert part.P2 == frozenset(["0"])
-    assert part.P1 == frozenset(["x1"])
+    part = sp.classify(P, {"x1": ((),)})
+    assert names(P, part.P3) == set()
+    assert names(P, part.P2) == {"0"}
+    assert names(P, part.P1) == {"x1"}
 
 
 def test_builtin_names_and_errors():
@@ -418,22 +426,46 @@ def test_search_rescues_a_step_whose_carried_nabla_breaks_a_block(
     assert searched == ["x3"]
 
 
-def prime_lineage(spec, monkeypatch):
-    """Run spec and label each final prime J with D(J), the steps at which
-    J's ancestors were new x-primes: iota carries D across a step, and the
-    x-prime over q gets D(q) | {k}.  Steps count from 1, letterless ones
-    included."""
+def run_recording_setups(spec, monkeypatch):
+    """Run spec; returns the result and the SetupData of every step."""
     setups, ore_step = [], ext.ore_step
     monkeypatch.setattr(ext, "ore_step",
                         lambda *a: setups.append(ore_step(*a)) or setups[-1])
     res = sp.run_pipeline(spec)
     assert len(setups) == len(spec.steps)
-    D = {"0": frozenset()}
+    return res, setups
+
+
+def prime_lineage(spec, monkeypatch):
+    """Run spec and label each final prime J with D(J), the steps at which
+    J's ancestors were new x-primes: an old prime keeps its position and
+    its D across a step, and the x-prime over q gets D(q) | {k}.  Steps
+    count from 1, letterless ones included."""
+    res, setups = run_recording_setups(spec, monkeypatch)
+    D = [frozenset()]           # by position
     for k, s in enumerate(setups, 1):
-        over = {s.iota[q]: q for q in D}
-        D = {**{s.iota[q]: d for q, d in D.items()},
-             **{x: D[over[s.phi[x]]] | {k} for x in s.Px}}
-    return res, D
+        D += [D[s.phi[x]] | {k} for x in range(len(D), len(s.Ptilde))]
+    return res, dict(zip(res.final_poset.labels, D))
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_old_copy_keeps_the_positions_of_P(name, monkeypatch):
+    """At every step, Ptilde's first |P| positions carry P's order and
+    ranks, P1 primes under their rewritten names and the rest under P's,
+    and PhiTilde sends each of them to its partner or to itself."""
+    spec = sp.builtin(name)
+    res, setups = run_recording_setups(spec, monkeypatch)
+    for s, st in zip(setups, spec.steps):
+        P, T, src = s.source.P, s.Ptilde, s.source
+        n = len(P)
+        assert [u & (1 << n) - 1 for u in T.up[:n]] == list(P.up)
+        assert T.rank[:n] == P.rank
+        for i, lab in enumerate(P.labels):
+            rewritten = {st.rewrite.get(g, g) for g in sp.gens_of(lab)}
+            assert T.labels[i] == (sp.label_of(rewritten)
+                                   if src.P1 >> i & 1 else lab)
+            assert s.phi[i] == src.partner.get(i, i)
+    assert setups[-1].Ptilde is res.final_poset
 
 
 def group_lineage(spec, of_word):
