@@ -156,15 +156,18 @@ def criterion_11():
     for name, m, w, a in _sweep():
         # partition validates its laws internally; recheck them here
         part = br.partition(m, br.interval(m, w.word), a)
-        assert {x.times_gen(a) for x in part.W1} == set(part.W2)
-        assert {x.times_gen(a) for x in part.W4} == set(part.W3)
-        labels = lambda S: [br.word_label(x) for x in S]
+        iva = part.interval_wbara
+        # the blocks are positions of [1,wbar*a]; the products are formed
+        # here by the group, not read off the letter step's table
+        elems = lambda S: {iva.elements[i] for i in ps._bits(S)}
+        assert {x.times_gen(a) for x in elems(part.W1)} == elems(part.W2)
+        assert {x.times_gen(a) for x in elems(part.W4)} == elems(part.W3)
+        labels = lambda S: [iva.labels[i] for i in ps._bits(S)]
         assert ps.is_upper_set(part.interval_wbar, labels(part.W3))
-        assert ps.is_upper_set(part.interval_wbara, labels(part.W4))
-        assert ps.is_upper_set(part.interval_wbara, labels(part.W3 | part.W4))
-        w23 = {x for x in part.interval_wbara.elements
-               if not cx.right_descent(x, a)}
-        assert w23 == set(part.W2 | part.W3)
+        assert ps.is_upper_set(iva, labels(part.W4))
+        assert ps.is_upper_set(iva, labels(part.W3 | part.W4))
+        w23 = {x for x in iva.elements if not cx.right_descent(x, a)}
+        assert w23 == elems(part.W2 | part.W3)
         count += 1
     return "partition laws hold on %d partitions" % count
 

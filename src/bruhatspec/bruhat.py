@@ -33,33 +33,26 @@ def bruhat_leq(u, v):
 class BruhatInterval(ps.LabeledPoset):
     """The interval [1, base] as a checked, ranked LabeledPoset.
 
-    Built from the elements and down-sets the letter steps made, in any
-    order (bit j of down[i] set iff elements[j] <= elements[i]).  Each
-    gets its canonical word from the element below it, as its letter step
-    recorded it (cx.derive_words), and they are sorted once by (length,
-    canonical word); LabeledPoset
-    gets the dotted canonical words as labels, the up-sets, and the
-    lengths as ranks, and checks the order.  `elements[i]` is the element
-    labelled `labels[i]`, and `position` maps each element to its i.
+    Built from the elements and down-sets the letter steps made, in the
+    order they were appended, a linear extension (bit j of down[i] set iff
+    elements[j] <= elements[i]).  Each gets its canonical word from the
+    element below it, as its letter step recorded it (cx.derive_words);
+    LabeledPoset gets the dotted canonical words as labels, the down-sets,
+    and the lengths as ranks, and checks the order.  `elements[i]` is the
+    element labelled `labels[i]`, and `position` (by default built here)
+    maps each element to its i.
     """
 
     __slots__ = ("cox", "base", "elements", "position")
 
-    def __init__(self, cox, base, elements, down):
+    def __init__(self, cox, base, elements, down, position=None):
         cx.derive_words(elements)
-        order = sorted(range(len(elements)),
-                       key=lambda i: (elements[i].length, elements[i].word))
-        pos = {i: k for k, i in enumerate(order)}
-        up = [0] * len(order)
-        for i, d in enumerate(down):
-            for j in ps._bits(d):
-                up[pos[j]] |= 1 << pos[i]
-        self.cox = cox
-        self.base = base
-        self.elements = tuple(elements[i] for i in order)
-        self.position = {w: k for k, w in enumerate(self.elements)}
-        super().__init__(map(word_label, self.elements), up,
-                         [w.length for w in self.elements])
+        self.cox, self.base = cox, base
+        self.elements = tuple(elements)
+        self.position = position if position is not None else \
+            {w: k for k, w in enumerate(self.elements)}
+        super().__init__(map(word_label, self.elements),
+                         rank=[w.length for w in self.elements], down=down)
 
     def to_poset(self):
         """The interval itself: it is already a LabeledPoset."""
@@ -81,7 +74,7 @@ def interval(m, word):
     elems, position, down = [base], {base: 0}, [1]
     for s in word:
         base, _ = _letter_step(base, elems, position, down, s, "right")
-    return BruhatInterval(m, base, elems, down)
+    return BruhatInterval(m, base, elems, down, position)
 
 
 def _letter_step(base, elems, position, down, s, side):
@@ -126,18 +119,16 @@ def _letter_step(base, elems, position, down, s, side):
 
 class BruhatPartition:
     """The blocks W1-W4 of [1, wbar*a] (side "right") or [1, a*wbar] (side
-    "left"), and Phi as a dict: w -> wa (resp. aw) on W1|W4, w on W2|W3."""
+    "left") as int bitsets over its positions, [1, wbar] first, and Phi as
+    a tuple of positions: w -> wa (resp. aw) on W1|W4, w on W2|W3."""
 
     __slots__ = ("a", "side", "W1", "W2", "W3", "W4", "phi",
                  "interval_wbar", "interval_wbara")
 
     def __init__(self, a, side, W1, W2, W3, W4, phi, iv, iva):
-        self.a = a
-        self.side = side
+        self.a, self.side, self.phi = a, side, phi
         self.W1, self.W2, self.W3, self.W4 = W1, W2, W3, W4
-        self.phi = phi
-        self.interval_wbar = iv
-        self.interval_wbara = iva
+        self.interval_wbar, self.interval_wbara = iv, iva
 
 
 def partition(m, iv, a, side="right"):
@@ -146,31 +137,27 @@ def partition(m, iv, a, side="right"):
     iv = [1, wbar] (a BruhatInterval in m).
 
     A copy of iv's elements and down-sets is grown by one letter step to
-    [1, wbar*a], so W4, the new elements, is that list past len(iv); Phi
-    and the W2/W3 split are read off the step's product table.  Requires
-    wbar < wbar*a (the standing hypothesis wbar in W_a'); the stated block
-    identities and upper-set facts are verified before returning.
+    [1, wbar*a], so W4, the new elements, is that list past len(iv); Phi,
+    the descents and the W2/W3 split are read off the step's product
+    table.  Requires wbar < wbar*a (the standing hypothesis wbar in W_a');
+    the stated block identities and upper-set facts are verified.
     """
     if side not in _DESCENT:
         raise BruhatError('side must be "left" or "right", got %r' % (side,))
     if iv.cox != m:
         raise BruhatError("the interval is not in the given Coxeter group")
-    descent = _DESCENT[side]
-    if descent(iv.base, a):
+    if _DESCENT[side](iv.base, a):
         raise BruhatError("wbar*a < wbar: wbar must not have a as %s descent"
                           % side)
     elems, position, down = list(iv.elements), dict(iv.position), list(iv.down)
     base, times = _letter_step(iv.base, elems, position, down, a, side)
-    iva = BruhatInterval(m, base, elems, down)
-    n = len(iv)
-    W1, W2, W3, phi = set(), set(), set(), {}
-    for k, w in enumerate(elems):
-        desc = descent(w, a)
-        phi[w] = elems[times[k]] if desc else w
-        if k < n:               # the rest is W4
-            (W1 if desc else W2 if times[k] < n else W3).add(w)
-    part = BruhatPartition(a, side, frozenset(W1), frozenset(W2),
-                           frozenset(W3), frozenset(elems[n:]), phi, iv, iva)
+    iva = BruhatInterval(m, base, elems, down, position)
+    n, rank = len(iv), iva.rank
+    phi = tuple(t if rank[t] < rank[k] else k for k, t in enumerate(times))
+    W1 = sum(1 << k for k in range(n) if phi[k] != k)
+    W2 = sum(1 << k for k in range(n) if phi[k] == k and times[k] < n)
+    part = BruhatPartition(a, side, W1, W2, (1 << n) - 1 ^ W1 ^ W2,
+                           (1 << len(elems)) - (1 << n), phi, iv, iva)
     _check_partition(part)
     return part
 
@@ -178,23 +165,24 @@ def partition(m, iv, a, side="right"):
 def _check_partition(part):
     a, phi, descent = part.a, part.phi, _DESCENT[part.side]
     iv, iva = part.interval_wbar, part.interval_wbara
-    if {phi[w] for w in part.W1} != part.W2:
+    image = lambda S: sum({1 << phi[i] for i in ps._bits(S)})
+    if image(part.W1) != part.W2:
         raise BruhatError("W2 != m_a(W1)")
-    if {phi[w] for w in part.W4} != part.W3:
+    if image(part.W4) != part.W3:
         raise BruhatError("W3 != m_a(W4)")
     old = part.W1 | part.W2 | part.W3
-    if old != set(iv.elements):
+    if old != (1 << len(iv)) - 1 or iva.elements[:len(iv)] != iv.elements:
         raise BruhatError("W1|W2|W3 != [1,wbar]")
-    if old | part.W4 != set(iva.elements):
+    if old | part.W4 != (1 << len(iva)) - 1:
         raise BruhatError("W1|..|W4 != [1,wbar*a]")
     for name, S, ivs in (("W3", part.W3, iv), ("W4", part.W4, iva),
                          ("W3|W4", part.W3 | part.W4, iva)):
-        if not ps.is_upper_set(ivs, map(word_label, S)):
+        if any(ivs.up[i] & ~S for i in ps._bits(S)):
             raise BruhatError("%s not upper in %s" % (
                 name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))
     w14 = part.W1 | part.W4
-    for w in iva.elements:
-        if (w in w14) != descent(w, a):
+    for i, w in enumerate(iva.elements):
+        if (w14 >> i & 1) != descent(w, a):
             raise BruhatError("W1|W4 != [1,wbar*a] cap W_a")
 
 

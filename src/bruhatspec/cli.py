@@ -70,13 +70,21 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
+def _by_length_word(iv):
+    """The positions of the interval iv by (length, canonical word), the
+    order in which its elements are printed; the interval itself keeps
+    the order its letter steps appended them in."""
+    return sorted(range(len(iv)),
+                  key=lambda i: (iv.rank[i], iv.elements[i].word))
+
+
 def cmd_interval(args):
     _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     prof = iv.rank_profile()
     print("%d elements, ranks %s" % (len(iv), ",".join(map(str, prof))))
     if args.format:
-        _emit(ps.export(iv, args.format), args.output)
+        _emit(ps.export(iv, args.format, _by_length_word(iv)), args.output)
     return 0
 
 
@@ -85,9 +93,9 @@ def cmd_partition(args):
     part = br.partition(m, br.interval(m, _word(args.word)), args.gen)
     for name, block in (("W1", part.W1), ("W2", part.W2),
                         ("W3", part.W3), ("W4", part.W4)):
-        labs = sorted(br.word_label(w)
-                      for w in block)
-        print("%s (%d): %s" % (name, len(block), " ".join(labs) or "-"))
+        labs = sorted(part.interval_wbara.labels[i] for i in ps._bits(block))
+        print("%s (%d): %s" % (name, block.bit_count(),
+                               " ".join(labs) or "-"))
     return 0
 
 
@@ -125,7 +133,8 @@ def cmd_pipeline(args):
           % (len(res.final_poset), ",".join(map(str, prof)),
              ".".join(map(str, res.word))))
     if args.format:
-        _emit(ps.export(res.final_poset, args.format), args.output)
+        _emit(ps.export(res.final_poset, args.format, res.order),
+              args.output)
     return 0
 
 
@@ -137,7 +146,7 @@ def cmd_selftest(args):
 def cmd_export(args):
     _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
-    _emit(ps.export(iv, args.format), args.output)
+    _emit(ps.export(iv, args.format, _by_length_word(iv)), args.output)
     return 0
 
 

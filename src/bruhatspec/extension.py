@@ -92,6 +92,8 @@ def validate_setup(s):
                 if leq(p, q) != leq(phi[p], phi[q]):
                     raise ExtensionError("PhiTilde not an isomorphism on Px "
                                          "at (%s,%s)" % (lab[p], lab[q]))
+    # cannot fail: with or without a mismatch the clause above makes
+    # PhiTilde(p) = PhiTilde(q) give p <= q <= p, so p = q
     if len({phi[p] for p in px}) != len(px):
         raise ExtensionError("PhiTilde not injective on Px")
     if mismatch:
@@ -105,22 +107,23 @@ def validate_setup(s):
             raise ExtensionError("PhiTilde not idempotent at %s" % (lab[p],))
 
 
-def ore_step(sp, new_label, relabel=None):
+def ore_step(sp, new_label, relabel=None, like=None):
     """One Ore-extension step at the poset level.
 
     Ptilde = (copy of P at P's positions, labels of the positions in
-    `relabel` replaced) then a new prime q_x for each q in P3, in the label
-    order of q (label new_label[q]), its up-sets read off P's: old p <= new
-    q_x iff pi(p) <= q, where pi is the identity on P2|P3 and partner() on
-    P1; q_x <= q'_x iff q <= q'; no new <= old relations.  A ranked P gives
-    q_x rank(q) + 1.  LabeledPoset rejects a result that is not an order;
+    `relabel` replaced) then a new prime q_x for each q in P3, in the
+    position order of q (label new_label[q]), its up-sets read off P's:
+    old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3 and
+    partner() on P1; q_x <= q'_x iff q <= q'; no new <= old relations.  A
+    ranked P gives q_x rank(q) + 1.  LabeledPoset checks that this is an
+    order, unless it is that of `like` (see LabeledPoset), and
     validate_setup checks the rest.  Returns the SetupData.
     """
     sp.validate()
     P = sp.P
     relabel = relabel or {}
     n = len(P)
-    p3 = sorted(ps._bits(sp.P3), key=P.labels.__getitem__)
+    p3 = list(ps._bits(sp.P3))
     # bit n+k of Ptilde is p3[k]'s new prime; lift(u) is the new primes
     # over the P3 members of the bitset u
     x_bit = {q: 1 << (n + k) for k, q in enumerate(p3)}
@@ -132,7 +135,7 @@ def ore_step(sp, new_label, relabel=None):
         P.rank + tuple(P.rank[q] + 1 for q in p3)
     Ptilde = ps.LabeledPoset(
         [relabel.get(i, l) for i, l in enumerate(P.labels)] +
-        [new_label[q] for q in p3], up, rank)
+        [new_label[q] for q in p3], up, rank, like=like)
     setup = SetupData(Ptilde=Ptilde, phi=pi + tuple(p3), source=sp)
     validate_setup(setup)
     return setup
@@ -141,32 +144,33 @@ def ore_step(sp, new_label, relabel=None):
 def extend_iso(nabla, part, s):
     """Extend nabla: [1,wbar] -> P across the partition of [1,wbar*a] (or
     [1,a*wbar]) to nablatilde: [1,wbar*a] -> Ptilde, both tuples of
-    positions over their intervals; the old copy keeps P's positions.
+    positions over their intervals; Ptilde keeps P's, [1,wbar*a] [1,wbar]'s.
 
     Hypotheses checked: (a) nabla(W3) = PhiTilde(Px); (b) PhiTilde.nabla =
-    nabla.Phi on W1|W2.  New words w in W4 go to the unique x-prime over
-    nabla(Phi(w)).
+    nabla.Phi on W1|W2, naming the first failure by (length, word).  New
+    words w in W4 go to the unique x-prime over nabla(Phi(w)).
     """
     iv, T, phi, n = part.interval_wbar, s.Ptilde, s.phi, len(s.source.P)
     if not ps.is_isomorphism(iv, s.source.P, nabla):
         raise ExtensionError("nabla is not an isomorphism")
-    nab = lambda w: nabla[iv.position[w]]
-    names = lambda S: sorted(T.labels[i] for i in S)
-    img_w3 = {nab(w) for w in part.W3}
-    img_px = set(phi[n:])
+    names = lambda S: sorted(T.labels[i] for i in ps._bits(S))
+    img_w3 = sum({1 << nabla[i] for i in ps._bits(part.W3)})
+    img_px = sum({1 << k for k in phi[n:]})
     if img_w3 != img_px:
         raise ExtensionError(
             "hypothesis (a) fails: nabla(W3) = %r but PhiTilde(Px) = %r"
             % (names(img_w3), names(img_px)))
-    for w in iv.elements:   # W1|W2|W3 by (length, word)
-        if w not in part.W3 and phi[nab(w)] != nab(part.phi[w]):
-            raise ExtensionError(
-                "hypothesis (b) fails at %s: PhiTilde(nabla(w))=%s, nabla(Phi(w))=%s"
-                % (iv.labels[iv.position[w]], T.labels[phi[nab(w)]],
-                   T.labels[nab(part.phi[w])]))
+    bad = {i for i in ps._bits((1 << len(iv)) - 1 & ~part.W3)
+           if phi[nabla[i]] != nabla[part.phi[i]]}
+    if bad:
+        i = min(bad, key=lambda i: (iv.rank[i], iv.elements[i].word))
+        raise ExtensionError(
+            "hypothesis (b) fails at %s: PhiTilde(nabla(w))=%s, nabla(Phi(w))=%s"
+            % (iv.labels[i], T.labels[phi[nabla[i]]],
+               T.labels[nabla[part.phi[i]]]))
     inv_px = {phi[p]: p for p in range(n, len(T))}
-    nablat = tuple(inv_px[nab(part.phi[w])] if w in part.W4 else nab(w)
-                   for w in part.interval_wbara.elements)
+    nablat = tuple(inv_px[nabla[part.phi[i]]] if part.W4 >> i & 1
+                   else nabla[i] for i in range(len(part.interval_wbara)))
     if not ps.is_isomorphism(part.interval_wbara, T, nablat):
         raise ExtensionError("extended map is not an isomorphism")
     return nablat
@@ -179,17 +183,16 @@ def commuting_square(nabla, nablat, part, s):
     naming every clause that fails.
 
     PsiTilde is PhiTilde read as a map into P: the old copy keeps P's
-    positions.  Phi is the partition's.
+    positions.  Phi is the partition's, and [1,wbar*a] keeps [1,wbar]'s.
     """
     psi, n = s.phi, len(s.source.P)
-    pos, pos_a = part.interval_wbar.position, part.interval_wbara.position
     fibers = [0] * n
     for t, b in enumerate(psi):
         fibers[b] |= 1 << t
     with_new = sum(1 << b for b, f in enumerate(fibers) if f >> n)
     checks = {
-        "square_commutes": all(psi[nablat[pos_a[w]]] == nabla[pos[v]]
-                               for w, v in part.phi.items()),
+        "square_commutes": all(psi[nablat[k]] == nabla[v]
+                               for k, v in enumerate(part.phi)),
         "at_most_2_1": all(f.bit_count() <= 2 for f in fibers),
         # an old-copy position is never an x-prime, so a fiber that holds
         # one and has two elements is {b, the x-prime over b}

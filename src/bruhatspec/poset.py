@@ -21,24 +21,26 @@ class LabeledPoset:
     """Finite poset over opaque string labels.
 
     Elements are dense indices 0..n-1.  `up[i]` is an int bitset whose bit j
-    is set iff i <= j; `down[i]` is its transpose.  The order is checked to
-    be reflexive, antisymmetric and transitive, and `hasse` (the cover pairs
-    (i, j), sorted) is read off `up`.  `rank` is optional; when present
-    it is a tuple indexed by position, like `labels`, and every cover edge
-    must raise it by exactly 1.
+    is set iff i <= j; `down[i]` is its transpose.  The order, given by
+    `up` or `down`, is checked to be reflexive, antisymmetric and
+    transitive, and `hasse` (the cover pairs (i, j), sorted) is read off
+    it, or all three are taken from `like`, a checked poset with these
+    up-sets and ranks.  `rank` is optional: a tuple indexed by position,
+    like `labels`, that every cover edge must raise by exactly 1.
     """
 
     __slots__ = ("labels", "up", "down", "hasse", "rank", "_index")
 
-    def __init__(self, labels, up, rank=None):
+    def __init__(self, labels, up=None, rank=None, down=None, like=None):
         self.labels = tuple(labels)
-        self.up = tuple(up)
+        sets = tuple(up if down is None else down)
         self._index = {lab: i for i, lab in enumerate(self.labels)}
         n = len(self.labels)
         if len(self._index) != n:
             raise PosetError("duplicate labels")
-        if len(self.up) != n or any(not 0 <= u < 1 << n for u in self.up):
-            raise PosetError("up-sets do not match the %d labels" % n)
+        if len(sets) != n or any(not 0 <= u < 1 << n for u in sets):
+            raise PosetError("%s-sets do not match the %d labels"
+                             % ("up" if down is None else "down", n))
         if isinstance(rank, dict):
             raise PosetError("rank must be a sequence by position, not a dict")
         self.rank = None if rank is None else tuple(rank)
@@ -49,12 +51,18 @@ class LabeledPoset:
             if type(r) is not int or r < 0:
                 raise PosetError("rank of %r must be a non-negative integer, "
                                  "got %r" % (lab, r))
-        found = _checked_covers(self.up)
+        if like is not None and down is None and \
+                (sets, self.rank) == (like.up, like.rank):
+            self.up, self.down, self.hasse = like.up, like.down, like.hasse
+            return
+        found = _checked_covers(sets)
         if found is None:
-            _raise_order_fault(self.labels, self.up)
-        self.down, covers = found
-        self.hasse = tuple((i, j) for i, c in enumerate(covers)
-                           for j in _bits(c))
+            _raise_order_fault(self.labels, sets)
+        other, covers = found
+        self.up, self.down = (sets, other) if down is None else (other, sets)
+        self.hasse = tuple(sorted((i, j)[::1 if down is None else -1]
+                                  for i, c in enumerate(covers)
+                                  for j in _bits(c)))
         if self.rank is not None:
             for a, b in self.hasse:
                 if self.rank[b] != self.rank[a] + 1:
@@ -83,50 +91,45 @@ class LabeledPoset:
         return tuple(prof)
 
 
-def _checked_covers(up):
-    """(down, covers) of the order given by the up-sets `up`, where
-    covers[i] is the bitset of upper covers of i; None unless the order is
-    reflexive, antisymmetric and transitive.
-
-    Rows are visited by increasing up-set size.  In row i the lowest
-    remaining j of up(i) - {i} is taken, checked (i not in up(j), up(j)
-    inside up(i)) and all of up(j) is removed from what remains: such a j
-    has a strictly smaller up-set, so its own row has already passed and
-    vouches for everything above it.  Every cover of i is taken, and the
-    taken j that lie above another taken j are not covers.  So a row costs
-    a few int operations per cover rather than one per relation, and
-    `down` is built from the covers, bottom-up.
-    """
-    n = len(up)
-    if any(not u >> i & 1 for i, u in enumerate(up)):
+def _checked_covers(down):
+    """(up, covers) of the order given by the down-sets `down`, covers[i]
+    the lower covers of i; None unless the order is reflexive,
+    antisymmetric and transitive.  Those are self-dual: given up-sets it
+    returns the down-sets and upper covers.  In row i the highest j left in
+    down(i) - {i} is taken, checked (i not in down(j), down(j) inside
+    down(i)) and all of down(j) removed: its down-set is smaller, so by
+    induction its own row vouches for it.  Taken j below no other taken j
+    are the covers.  In a linear extension, such as the letter step's
+    order, each taken j is a cover, so a row costs a few int operations
+    per cover rather than one per relation."""
+    n = len(down)
+    if any(not d >> i & 1 for i, d in enumerate(down)):
         return None
-    order = sorted(range(n), key=lambda i: up[i].bit_count())
     covers = [0] * n
-    for i in order:
-        u = up[i]
-        rest = u ^ 1 << i
-        taken = above = 0
+    for i, d in enumerate(down):
+        rest = d ^ 1 << i
+        taken = below = 0
         while rest:
-            low = rest & -rest
-            uj = up[low.bit_length() - 1]
-            if uj >> i & 1 or uj & ~u:
+            j = rest.bit_length() - 1
+            dj, high = down[j], 1 << j
+            if dj >> i & 1 or dj & ~d:
                 return None
-            taken |= low
-            above |= uj ^ low
-            rest &= ~uj
-        covers[i] = taken & ~above
-    down = [1 << i for i in range(n)]
-    for i in reversed(order):
+            taken |= high
+            below |= dj ^ high
+            rest &= ~dj
+        covers[i] = taken & ~below
+    up = [1 << i for i in range(n)]
+    for i in sorted(range(n), key=lambda i: -down[i].bit_count()):
         for j in _bits(covers[i]):
-            down[j] |= down[i]
-    return tuple(down), covers
+            up[j] |= up[i]
+    return tuple(up), covers
 
 
 def _raise_order_fault(labels, up):
-    """Raise the first fault of the up-sets `up`, scanning every relation
-    row by row: i <= i, then for each j above i no cycle and up(j) inside
-    up(i).  Run only once _checked_covers has found a fault, so that the
-    message names the same fault whatever the cover check met first."""
+    """Raise the first fault of the up-sets (or down-sets) `up`, scanning
+    every relation row by row: i <= i, then for each j above i no cycle
+    and up(j) inside up(i).  Run only once _checked_covers has found a
+    fault, so that the message names the same fault whatever it met."""
     for i, u in enumerate(up):
         if not u >> i & 1:
             raise PosetError("%r is not <= itself" % (labels[i],))
@@ -142,20 +145,19 @@ def _raise_order_fault(labels, up):
 def build(elements, relations, rank=None):
     """Poset from labels and generating relations (pairs of labels, a <= b):
     their reflexive-transitive closure, by Warshall's algorithm on bitsets.
-    LabeledPoset rejects cycles and derives the Hasse edges."""
+    LabeledPoset rejects duplicate labels and cycles, and derives the
+    Hasse edges."""
     labels = list(elements)
     index = {lab: i for i, lab in enumerate(labels)}
-    if len(index) != len(labels):
-        raise PosetError("duplicate labels")
-    up = [1 << i for i in range(len(labels))]
+    down = [1 << i for i in range(len(labels))]
     for a, b in relations:
-        up[index[a]] |= 1 << index[b]
-    for k in range(len(up)):
+        down[index[b]] |= 1 << index[a]
+    for k in range(len(down)):
         bit = 1 << k
-        for i, u in enumerate(up):
-            if u & bit:
-                up[i] = u | up[k]
-    return LabeledPoset(labels, up, rank)
+        for i, d in enumerate(down):
+            if d & bit:
+                down[i] = d | down[k]
+    return LabeledPoset(labels, rank=rank, down=down)
 
 
 def product(P, Q):
@@ -163,12 +165,12 @@ def product(P, Q):
     (i, j) sits at position i*len(Q) + j."""
     m = len(Q)
     labels = ["(%s,%s)" % (lp, lq) for lp in P.labels for lq in Q.labels]
-    up = [sum(uq << k * m for k in _bits(up_p))
-          for up_p in P.up for uq in Q.up]
+    down = [sum(dq << k * m for k in _bits(dp))
+            for dp in P.down for dq in Q.down]
     rank = None
     if P.rank is not None and Q.rank is not None:
         rank = [rp + rq for rp in P.rank for rq in Q.rank]
-    return LabeledPoset(labels, up, rank)
+    return LabeledPoset(labels, rank=rank, down=down)
 
 
 def disjoint_union(P, Q):
@@ -176,11 +178,11 @@ def disjoint_union(P, Q):
     be disjoint (LabeledPoset rejects duplicate labels)."""
     labels = P.labels + Q.labels
     off = len(P)
-    up = list(P.up) + [u << off for u in Q.up]
+    down = list(P.down) + [d << off for d in Q.down]
     rank = None
     if P.rank is not None and Q.rank is not None:
         rank = P.rank + Q.rank
-    return LabeledPoset(labels, up, rank)
+    return LabeledPoset(labels, rank=rank, down=down)
 
 
 def two_chain():
@@ -195,8 +197,9 @@ def induced(P, labels):
     """Subposet on the given labels with the restricted order (no rank)."""
     keep = sorted({P.index(l) for l in labels})
     pos = {i: k for k, i in enumerate(keep)}
-    up = [sum(1 << pos[j] for j in _bits(P.up[i]) if j in pos) for i in keep]
-    return LabeledPoset([P.labels[i] for i in keep], up)
+    down = [sum(1 << pos[j] for j in _bits(P.down[i]) if j in pos)
+            for i in keep]
+    return LabeledPoset([P.labels[i] for i in keep], down=down)
 
 
 def is_upper_set(P, labels):
@@ -245,10 +248,13 @@ def _preserves(P, Q, f):
 def is_isomorphism(P, Q, f):
     """True iff f, a sequence of Q's positions indexed by P's, is a
     bijection onto Q that sends P's cover edges into Q's order and whose
-    inverse sends Q's cover edges into P's order."""
+    inverse sends Q's cover edges into P's order (at once for the identity
+    between equal orders)."""
     n = len(P)
     if len(Q) != n or len(f) != n or set(f) != set(range(n)):
         return False
+    if P.up == Q.up and tuple(f) == tuple(range(n)):
+        return True
     inv = [0] * n
     for i, j in enumerate(f):
         inv[j] = i
@@ -338,30 +344,35 @@ def find_isomorphism(P, Q, constraints=()):
     return PosetMap(P, Q, {P.labels[i]: Q.labels[j] for i, j in assign.items()})
 
 
-def export(P, fmt):
-    """Render to 'json' (schema with dense ids) or 'dot' (rank-layered)."""
+def export(P, fmt, order=None):
+    """Render to 'json' (schema with dense ids) or 'dot' (rank-layered);
+    id k is P's position order[k] (by default k), so that ids can follow
+    another order than the one P was grown in (see cli)."""
+    order = range(len(P)) if order is None else order
+    ids = {p: k for k, p in enumerate(order)}
+    hasse = sorted((ids[a], ids[b]) for a, b in P.hasse)
     if fmt == "json":
         import json
-        elems = [{"id": i, "label": P.labels[i],
-                  "rank": P.rank[i] if P.rank is not None else None}
-                 for i in range(len(P))]
+        elems = [{"id": k, "label": P.labels[p],
+                  "rank": P.rank[p] if P.rank is not None else None}
+                 for k, p in enumerate(order)]
         return json.dumps({"elements": elems,
-                           "hasse": [list(e) for e in sorted(P.hasse)]},
+                           "hasse": [list(e) for e in hasse]},
                           indent=2, sort_keys=True)
     if fmt == "dot":
         lines = ["digraph poset {", "  rankdir=BT;",
                  '  node [shape=box, fontsize=10];']
-        for i, lab in enumerate(P.labels):
-            esc = lab.replace("\\", r"\\").replace('"', r'\"')
-            lines.append('  n%d [label="%s"];' % (i, esc))
+        for k, p in enumerate(order):
+            esc = P.labels[p].replace("\\", r"\\").replace('"', r'\"')
+            lines.append('  n%d [label="%s"];' % (k, esc))
         if P.rank is not None:
             layers = {}
-            for i in range(len(P)):
-                layers.setdefault(P.rank[i], []).append(i)
+            for k, p in enumerate(order):
+                layers.setdefault(P.rank[p], []).append(k)
             for r in sorted(layers):
                 lines.append("  { rank=same; %s }"
-                             % " ".join("n%d;" % i for i in layers[r]))
-        for a, b in sorted(P.hasse):
+                             % " ".join("n%d;" % k for k in layers[r]))
+        for a, b in hasse:
             lines.append("  n%d -> n%d;" % (a, b))
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -383,9 +394,9 @@ def pushout_square(m, wbar, a):
     wl = br.word_label
     Pw, Pwa = part.interval_wbar, part.interval_wbara
     by_label = dict(zip(Pwa.labels, Pwa.elements))
-    I2 = induced(Pw, [wl(w) for w in part.W2])
-    I3 = induced(Pw, [wl(w) for w in part.W3])
-    I23 = induced(Pw, [wl(w) for w in part.W2 | part.W3])
+    labels = lambda S: [Pw.labels[i] for i in _bits(S)]
+    I2, I3 = induced(Pw, labels(part.W2)), induced(Pw, labels(part.W3))
+    I23 = induced(Pw, labels(part.W2 | part.W3))
     A = disjoint_union(I3, product(I2, two_chain()))
     B = product(I23, two_chain())
     # w*a for each w in W2|W3, formed once, by the group's own product

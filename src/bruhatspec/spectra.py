@@ -138,13 +138,9 @@ class Step:
     """One variable of a schedule; gen None means no Bruhat letter."""
 
     def __init__(self, var, gen, side, delta, rewrite, expansions, partner):
-        self.var = var
-        self.gen = gen
-        self.side = side
-        self.delta = delta
-        self.rewrite = rewrite
-        self.expansions = expansions
-        self.partner = partner
+        self.var, self.gen, self.side = var, gen, side
+        self.delta, self.rewrite = delta, rewrite
+        self.expansions, self.partner = expansions, partner
 
 
 class PipelineSpec:
@@ -156,12 +152,13 @@ class PipelineSpec:
 
 
 class PipelineResult:
-    def __init__(self, name, word, final_poset, nabla, steps):
+    def __init__(self, name, word, final_poset, nabla, steps, order):
         self.name = name
         self.word = word
         self.final_poset = final_poset  # ps.LabeledPoset
         self.nabla = nabla              # ps.PosetMap onto final_poset
         self.steps = steps              # the step reports
+        self.order = order  # positions in export order (see run_pipeline)
 
 
 def _load_step(k, sd, cox):
@@ -268,17 +265,20 @@ def run_pipeline(spec):
     The interval [1, wbar] is built once, for the empty word, and each
     lettered step grows it by one letter.  nabla: [1, wbar] -> P is carried
     as a tuple of P's positions indexed by the interval's, and made a
-    PosetMap once, for the result."""
+    PosetMap once, for the result.  Its export order is, step by step, the
+    old copy, then the x-primes by the labels of their P3 primes."""
     cox = spec.cox
     word, iv, P, nabla = (), br.interval(cox, ()), ps.singleton("0"), (0,)
-    expans = {}
-    reports = []
+    expans, reports, order = {}, [], (0,)
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            word, iv, P, nabla, rep = _step(cox, word, iv, P, nabla, expans,
+            word, iv, s, nabla, rep = _step(cox, word, iv, P, nabla, expans,
                                             st)
+            order += tuple(sorted(range(len(P), len(s.Ptilde)),
+                                  key=lambda x: P.labels[s.phi[x]]))
+            P = s.Ptilde
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             err = SpectraInputError if isinstance(e, SpectraInputError) \
@@ -297,13 +297,13 @@ def run_pipeline(spec):
                               list(exp["rank_profile"])))
     nabla = ps.PosetMap(iv, P, {l: P.labels[j]
                                 for l, j in zip(iv.labels, nabla)})
-    return PipelineResult(spec.name, word, P, nabla, reports)
+    return PipelineResult(spec.name, word, P, nabla, reports, order)
 
 
 def _step(cox, word, iv, P, nabla, expans, st):
     """One Ore step: from nabla: [1,wbar] -> P, a tuple of P's positions
-    indexed by the BruhatInterval iv = [1,wbar], to the next word,
-    interval, poset and nabla.  Returns (word, iv, P, nabla, report).
+    indexed by the BruhatInterval iv = [1,wbar], to (word, iv, setup,
+    nabla, report): the next word, interval, SetupData and nabla.
 
     Every step classifies P and builds the ranked next poset by ore_step,
     whose old copy keeps P's positions.  A step with a letter a partitions
@@ -331,9 +331,7 @@ def _step(cox, word, iv, P, nabla, expans, st):
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
     if part is not None:
-        blocks = [(sum(1 << iv.position[w] for w in W), Q)
-                  for W, Q in ((part.W1, sp.P1), (part.W2, sp.P2),
-                               (part.W3, sp.P3))]
+        blocks = [(part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3)]
         if any(not Q >> nabla[i] & 1 for W, Q in blocks for i in ps._bits(W)):
             names = lambda Q, S: sorted(Q.labels[i] for i in ps._bits(S))
             found = ps.find_isomorphism(
@@ -349,7 +347,7 @@ def _step(cox, word, iv, P, nabla, expans, st):
     setup = ext.ore_step(
         sp, {q: label_of(gens(q) | {st.var}) for q in ps._bits(sp.P3)},
         {p: label_of({st.rewrite.get(s, s) for s in gens(p)})
-         for p in ps._bits(sp.P1)})
+         for p in ps._bits(sp.P1)}, part.interval_wbara if part else iv)
     rep = {"kind": kind, "gen": a,
            "sizes": {"P": len(P), "P1": sp.P1.bit_count(),
                      "P2": sp.P2.bit_count(), "P3": sp.P3.bit_count(),
@@ -362,7 +360,7 @@ def _step(cox, word, iv, P, nabla, expans, st):
         nablat = ext.extend_iso(nabla, part, setup)
         ext.commuting_square(nabla, nablat, part, setup)
         iv, nabla = part.interval_wbara, nablat
-    return word, iv, setup.Ptilde, nabla, rep
+    return word, iv, setup, nabla, rep
 
 
 # ---------------------------------------------------------------------------

@@ -291,3 +291,18 @@ def test_wrong_carried_length_fails_on_word(off):
                        % (w.length + off)):
         bad.word
     assert w.word == (2, 1, 3, 2) and w.length == 4
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: cx.CoxeterMatrix(2, ((1, 3),)), "rank/entry shape mismatch"),
+    (lambda: cx.CoxeterMatrix(0, ()), "rank/entry shape mismatch"),
+    (lambda: cx.builtin_matrix("A", 0), "type A requires rank >= 1"),
+    (lambda: cx.builtin_matrix("A"), "type A requires rank >= 1"),
+    (lambda: cx.builtin_matrix("affineA2", 4), "affine A2 has rank 3"),
+], ids=["rows", "rank0", "A0", "A-no-rank", "affineA2-rank"])
+def test_matrix_checks_give_their_messages(make, message):
+    """Each check is pinned by its own message: without the type A one, A0
+    would still fail, but later, as a shape mismatch."""
+    with pytest.raises(cx.CoxeterError, match="^%s$" % message.replace(
+            ".", r"\.")):
+        make()

@@ -348,7 +348,11 @@ def test_first_failing_x_prime_does_not_depend_on_the_hash_seed():
      "P1/P2/P3 not disjoint"),
     (blocks(chain2(), ["x1"], ["0"], [], {"x1": "x1"}),
      "partner of 'x1' must be a P2 prime it covers"),
-], ids=["cover", "disjoint", "partner"])
+    # 0 is a P2 prime below x2, but x2 covers x1, not 0
+    (blocks(ps.build(["0", "x1", "x2"], [("0", "x1"), ("x1", "x2")]),
+            ["x2"], ["0", "x1"], [], {"x2": "0"}),
+     "partner of 'x2' must be a P2 prime it covers"),
+], ids=["cover", "disjoint", "partner", "partner-not-covered"])
 def test_each_broken_spectrum_partition_gives_its_message(sp, message):
     with pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(message)):
         sp.validate()

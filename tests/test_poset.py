@@ -68,10 +68,9 @@ def test_disjoint_union():
 
 def test_disjoint_union_qmatrices_sizes():
     part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
-    w3 = ps.induced(part.interval_wbar.to_poset(),
-                    [br.word_label(w) for w in part.W3])
-    w2 = ps.induced(part.interval_wbar.to_poset(),
-                    [br.word_label(w) for w in part.W2])
+    labels = lambda S: [part.interval_wbar.labels[i] for i in ps._bits(S)]
+    w3 = ps.induced(part.interval_wbar.to_poset(), labels(part.W3))
+    w2 = ps.induced(part.interval_wbar.to_poset(), labels(part.W2))
     assert len(ps.disjoint_union(w3, ps.product(w2, ps.two_chain()))) == 8
 
 
@@ -166,7 +165,7 @@ def test_is_upper_set():
     assert not ps.is_upper_set(chain, ["0"])
     part = br.partition(A3, br.interval(A3, (2, 1, 3)), 2)
     P = part.interval_wbar.to_poset()
-    assert ps.is_upper_set(P, [br.word_label(w) for w in part.W3])
+    assert ps.is_upper_set(P, [P.labels[i] for i in ps._bits(part.W3)])
 
 
 def test_poset_map_flags():
@@ -437,3 +436,36 @@ def test_cover_edge_map_check_matches_the_relation_scan(d1, d2, data):
     assert f.is_isomorphism == iso
     assert ps.is_isomorphism(P, Q, positions) == iso
     assert f.order_preserving == reference.preserves_scan(P, Q, images)
+
+
+def test_poset_checks_give_their_messages():
+    """rank_profile needs a rank, a PosetMap a value for every source
+    label, and find_isomorphism blocks that do not overlap on either
+    side."""
+    with pytest.raises(ps.PosetError, match="^poset has no rank function$"):
+        ps.build(["a"], []).rank_profile()
+    chain = ps.two_chain()
+    with pytest.raises(ps.PosetError, match=re.escape(
+            "map not total; missing ['1']")):
+        ps.PosetMap(chain, chain, {"0": "0"})
+    P, Q = ps.build(["a", "b"], []), ps.build(["x", "y"], [])
+    with pytest.raises(ps.PosetError,
+                       match="^constraint blocks overlap in source$"):
+        ps.find_isomorphism(P, Q, [(["a"], ["x"]), (["a"], ["y"])])
+    with pytest.raises(ps.PosetError,
+                       match="^constraint blocks overlap in target$"):
+        ps.find_isomorphism(P, Q, [(["a"], ["x"]), (["b"], ["x"])])
+
+
+def test_like_lends_its_order_only_on_equal_up_sets_and_ranks():
+    """A poset takes the checked down-sets and Hasse edges of `like` when
+    its up-sets and ranks are those of `like`, and otherwise checks its
+    own: another rank, or another order, is not taken on trust."""
+    iv = br.interval(A3, (2, 1, 3))
+    labels = ["p%d" % i for i in range(len(iv))]
+    same = ps.LabeledPoset(labels, iv.up, iv.rank, like=iv)
+    assert same.down is iv.down and same.hasse is iv.hasse
+    with pytest.raises(ps.PosetError, match="not rank-increasing by 1"):
+        ps.LabeledPoset(labels, iv.up, [0] * len(iv), like=iv)
+    flat = ps.LabeledPoset(labels, [1 << i for i in range(len(iv))], like=iv)
+    assert flat.hasse == () and flat.down == flat.up

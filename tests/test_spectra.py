@@ -501,3 +501,61 @@ def test_nabla_keeps_the_lineage(name, monkeypatch):
     assert len(set(D_group.values())) == len(D_group)
     bad = [l for l, v in elem.items() if D_prime[res.nabla(l)] != D_group[v]]
     assert not bad, "%d of %d elements" % (len(bad), len(elem))
+
+
+@pytest.mark.parametrize("name", ["weyl0", "weyl5"])
+def test_weyl_cap(name):
+    with pytest.raises(sp.SpectraError, match=re.escape(
+            "weyl(n) supported for 1 <= n <= 4")):
+        sp.builtin(name)
+
+
+@pytest.mark.parametrize("name, step", [
+    ("horton3", "step 4 (y2)"), ("weyl3", "step 5 (x3)"),
+    ("qmatrix2", "step 4 (x4)")])
+def test_a_wrong_interval_is_not_hidden_by_the_shared_order(
+        name, step, monkeypatch):
+    """A letter step that drops the highest lower cover from the last
+    down-set it makes, at its 4th call, still makes a graded order (each
+    Bruhat interval of length 2 is a diamond), so the interval passes its
+    own check.  Ptilde, read off the primes, then has other up-sets: it
+    takes the interval's order only when they are equal, so it checks its
+    own, and the extended map is found not to be an isomorphism."""
+    calls, letter_step = [], br._letter_step
+
+    def dropping(base, elems, position, down, s, side):
+        out = letter_step(base, elems, position, down, s, side)
+        calls.append(s)
+        if len(calls) == 4:
+            top = len(down) - 1
+            below = down[top] & ~(1 << top)
+            covers = [j for j in ps._bits(below) if not any(
+                down[k] >> j & 1 for k in ps._bits(below & ~(1 << j)))]
+            down[top] &= ~(1 << max(covers))
+        return out
+    monkeypatch.setattr(br, "_letter_step", dropping)
+    with pytest.raises(sp.SpectraError, match="^%s$" % re.escape(
+            "pipeline %r, %s: extended map is not an isomorphism"
+            % (name, step))):
+        sp.run_pipeline(sp.builtin(name))
+
+
+def test_a_none_step_checks_its_poset_against_the_interval(monkeypatch):
+    """With P3 empty ore_step copies P's up-sets as they are, so the
+    isomorphism check of a step without a letter cannot fail on its own;
+    an ore_step that returns the right labels with no order must stop the
+    run there."""
+    ore_step = ext.ore_step
+
+    def orderless(sp_, *args):
+        s = ore_step(sp_, *args)
+        if sp_.P3:
+            return s
+        T = s.Ptilde
+        flat = ps.LabeledPoset(T.labels, [1 << i for i in range(len(T))])
+        return ext.SetupData(Ptilde=flat, phi=s.phi, source=s.source)
+    monkeypatch.setattr(ext, "ore_step", orderless)
+    with pytest.raises(sp.SpectraError, match="^%s$" % re.escape(
+            "pipeline 'weyl2', step 2 (y1): none-step extension is not an "
+            "isomorphism")):
+        sp.run_pipeline(sp.builtin("weyl2"))
