@@ -39,20 +39,22 @@ class BruhatInterval(ps.LabeledPoset):
     element below it, as its letter step recorded it (cx.derive_words);
     LabeledPoset gets the dotted canonical words as labels, the down-sets,
     and the lengths as ranks, and checks the order.  `elements[i]` is the
-    element labelled `labels[i]`, and `position` (by default built here)
-    maps each element to its i.
+    element labelled `labels[i]`, and `position` maps each element to its i.
     """
 
     __slots__ = ("cox", "base", "elements", "position")
 
-    def __init__(self, cox, base, elements, down, position=None):
+    def __init__(self, cox, base, elements, down, position):
         cx.derive_words(elements)
-        self.cox, self.base = cox, base
+        self.cox, self.base, self.position = cox, base, position
         self.elements = tuple(elements)
-        self.position = position if position is not None else \
-            {w: k for k, w in enumerate(self.elements)}
         super().__init__(map(word_label, self.elements),
                          rank=[w.length for w in self.elements], down=down)
+
+    def by_length_word(self):
+        """The positions by (length, canonical word), as output lists them."""
+        return sorted(range(len(self)),
+                      key=lambda i: (self.rank[i], self.elements[i].word))
 
     def to_poset(self):
         """The interval itself: it is already a LabeledPoset."""

@@ -70,21 +70,13 @@ def _emit(text, path):
         sys.stdout.write(text)
 
 
-def _by_length_word(iv):
-    """The positions of the interval iv by (length, canonical word), the
-    order in which its elements are printed; the interval itself keeps
-    the order its letter steps appended them in."""
-    return sorted(range(len(iv)),
-                  key=lambda i: (iv.rank[i], iv.elements[i].word))
-
-
 def cmd_interval(args):
     _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
     prof = iv.rank_profile()
     print("%d elements, ranks %s" % (len(iv), ",".join(map(str, prof))))
     if args.format:
-        _emit(ps.export(iv, args.format, _by_length_word(iv)), args.output)
+        _emit(ps.export(iv, args.format, iv.by_length_word()), args.output)
     return 0
 
 
@@ -146,7 +138,7 @@ def cmd_selftest(args):
 def cmd_export(args):
     _check_output(args.output, args.format)
     iv = br.interval(_matrix(args.matrix), _word(args.word))
-    _emit(ps.export(iv, args.format, _by_length_word(iv)), args.output)
+    _emit(ps.export(iv, args.format, iv.by_length_word()), args.output)
     return 0
 
 

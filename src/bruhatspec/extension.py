@@ -112,7 +112,7 @@ def ore_step(sp, new_label, relabel=None, like=None):
 
     Ptilde = (copy of P at P's positions, labels of the positions in
     `relabel` replaced) then a new prime q_x for each q in P3, in the
-    position order of q (label new_label[q]), its up-sets read off P's:
+    position order of q (label new_label[q]), its down-sets read off P's:
     old p <= new q_x iff pi(p) <= q, where pi is the identity on P2|P3 and
     partner() on P1; q_x <= q'_x iff q <= q'; no new <= old relations.  A
     ranked P gives q_x rank(q) + 1.  LabeledPoset checks that this is an
@@ -124,19 +124,19 @@ def ore_step(sp, new_label, relabel=None, like=None):
     relabel = relabel or {}
     n = len(P)
     p3 = list(ps._bits(sp.P3))
-    # bit n+k of Ptilde is p3[k]'s new prime; lift(u) is the new primes
-    # over the P3 members of the bitset u
-    x_bit = {q: 1 << (n + k) for k, q in enumerate(p3)}
-    lift = lambda u: sum(x_bit[i] for i in ps._bits(u & sp.P3))
-    pi = tuple(sp.partner.get(i, i) for i in range(n))
-    up = [u | lift(P.up[pi[i]]) for i, u in enumerate(P.up)] + \
-        [lift(P.up[q]) for q in p3]
+    # PhiTilde is pi on the old copy, q_x -> q; down(q_x) is down(q)'s preimage
+    phi = tuple(sp.partner.get(i, i) for i in range(n)) + tuple(p3)
+    fiber = [0] * n
+    for t, k in enumerate(phi):
+        fiber[k] |= 1 << t
+    down = list(P.down) + [sum(fiber[k] for k in ps._bits(P.down[q]))
+                           for q in p3]
     rank = None if P.rank is None else \
         P.rank + tuple(P.rank[q] + 1 for q in p3)
     Ptilde = ps.LabeledPoset(
         [relabel.get(i, l) for i, l in enumerate(P.labels)] +
-        [new_label[q] for q in p3], up, rank, like=like)
-    setup = SetupData(Ptilde=Ptilde, phi=pi + tuple(p3), source=sp)
+        [new_label[q] for q in p3], rank=rank, down=down, like=like)
+    setup = SetupData(Ptilde=Ptilde, phi=phi, source=sp)
     validate_setup(setup)
     return setup
 
@@ -163,7 +163,7 @@ def extend_iso(nabla, part, s):
     bad = {i for i in ps._bits((1 << len(iv)) - 1 & ~part.W3)
            if phi[nabla[i]] != nabla[part.phi[i]]}
     if bad:
-        i = min(bad, key=lambda i: (iv.rank[i], iv.elements[i].word))
+        i = next(i for i in iv.by_length_word() if i in bad)
         raise ExtensionError(
             "hypothesis (b) fails at %s: PhiTilde(nabla(w))=%s, nabla(Phi(w))=%s"
             % (iv.labels[i], T.labels[phi[nabla[i]]],

@@ -25,7 +25,7 @@ class LabeledPoset:
     `up` or `down`, is checked to be reflexive, antisymmetric and
     transitive, and `hasse` (the cover pairs (i, j), sorted) is read off
     it, or all three are taken from `like`, a checked poset with these
-    up-sets and ranks.  `rank` is optional: a tuple indexed by position,
+    down-sets and ranks.  `rank` is optional: a tuple indexed by position,
     like `labels`, that every cover edge must raise by exactly 1.
     """
 
@@ -51,8 +51,8 @@ class LabeledPoset:
             if type(r) is not int or r < 0:
                 raise PosetError("rank of %r must be a non-negative integer, "
                                  "got %r" % (lab, r))
-        if like is not None and down is None and \
-                (sets, self.rank) == (like.up, like.rank):
+        if like is not None and down is not None and \
+                (sets, self.rank) == (like.down, like.rank):
             self.up, self.down, self.hasse = like.up, like.down, like.hasse
             return
         found = _checked_covers(sets)
@@ -248,13 +248,10 @@ def _preserves(P, Q, f):
 def is_isomorphism(P, Q, f):
     """True iff f, a sequence of Q's positions indexed by P's, is a
     bijection onto Q that sends P's cover edges into Q's order and whose
-    inverse sends Q's cover edges into P's order (at once for the identity
-    between equal orders)."""
+    inverse sends Q's cover edges into P's order."""
     n = len(P)
     if len(Q) != n or len(f) != n or set(f) != set(range(n)):
         return False
-    if P.up == Q.up and tuple(f) == tuple(range(n)):
-        return True
     inv = [0] * n
     for i, j in enumerate(f):
         inv[j] = i

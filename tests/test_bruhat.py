@@ -174,7 +174,8 @@ def test_interval_rejects_a_non_order_when_built(down, message):
     built, whatever down-sets it is given."""
     elems = [el(A2, w) for w in ((), (1,), (1, 2))][:len(down)]
     with pytest.raises(ps.PosetError, match=message):
-        br.BruhatInterval(A2, elems[-1], elems, down)
+        br.BruhatInterval(A2, elems[-1], elems, down,
+                          {w: k for k, w in enumerate(elems)})
 
 
 def _count_products(monkeypatch):
@@ -335,7 +336,8 @@ def _w3_w4_not_upper(part):
     _swap_e_and_1(part)
     iv = part.interval_wbar
     part.interval_wbar = br.BruhatInterval(
-        iv.cox, iv.base, iv.elements, [1 << i for i in range(len(iv))])
+        iv.cox, iv.base, iv.elements, [1 << i for i in range(len(iv))],
+        iv.position)
 
 
 def _1_in_w1(part):

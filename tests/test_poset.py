@@ -457,15 +457,20 @@ def test_poset_checks_give_their_messages():
         ps.find_isomorphism(P, Q, [(["a"], ["x"]), (["b"], ["x"])])
 
 
-def test_like_lends_its_order_only_on_equal_up_sets_and_ranks():
-    """A poset takes the checked down-sets and Hasse edges of `like` when
-    its up-sets and ranks are those of `like`, and otherwise checks its
-    own: another rank, or another order, is not taken on trust."""
+def test_like_lends_its_order_only_on_equal_down_sets_and_ranks():
+    """A poset takes the checked up-sets and Hasse edges of `like` when its
+    down-sets and ranks are those of `like`, and otherwise checks its own:
+    another rank, another order, or up-sets equal to like's down-sets are
+    not taken on trust."""
     iv = br.interval(A3, (2, 1, 3))
     labels = ["p%d" % i for i in range(len(iv))]
-    same = ps.LabeledPoset(labels, iv.up, iv.rank, like=iv)
-    assert same.down is iv.down and same.hasse is iv.hasse
+    same = ps.LabeledPoset(labels, rank=iv.rank, down=iv.down, like=iv)
+    assert same.up is iv.up and same.hasse is iv.hasse
     with pytest.raises(ps.PosetError, match="not rank-increasing by 1"):
-        ps.LabeledPoset(labels, iv.up, [0] * len(iv), like=iv)
-    flat = ps.LabeledPoset(labels, [1 << i for i in range(len(iv))], like=iv)
+        ps.LabeledPoset(labels, rank=[0] * len(iv), down=iv.down, like=iv)
+    flat = ps.LabeledPoset(labels, down=[1 << i for i in range(len(iv))],
+                           like=iv)
     assert flat.hasse == () and flat.down == flat.up
+    # up-sets equal to like's down-sets give the dual order, checked
+    with pytest.raises(ps.PosetError, match="not rank-increasing by 1"):
+        ps.LabeledPoset(labels, iv.down, iv.rank, like=iv)
