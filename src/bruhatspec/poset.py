@@ -91,6 +91,15 @@ class LabeledPoset:
         return tuple(prof)
 
 
+def reindexed(P, f):
+    """P with position i holding P's element f[i], f a permutation of P's
+    positions; the order is checked again."""
+    inv = {j: i for i, j in enumerate(f)}
+    down = [sum(1 << inv[k] for k in _bits(P.down[j])) for j in f]
+    return LabeledPoset([P.labels[j] for j in f], down=down,
+                        rank=P.rank and [P.rank[j] for j in f])
+
+
 def _checked_covers(down):
     """(up, covers) of the order given by the down-sets `down`, covers[i]
     the lower covers of i; None unless the order is reflexive,

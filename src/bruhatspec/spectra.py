@@ -57,36 +57,40 @@ def gens_of(label):
     return frozenset() if label == "0" else frozenset(label.split(","))
 
 
-def _ideal_symbols(gens, expansions):
-    """The symbols in <gens>: the least set holding gens and every symbol
-    whose declared expansion has a factor of each summand monomial in the
-    set.  Built by a worklist: a symbol entering the set marks each summand
-    it is a factor of, and an expansion whose summands are all marked enters
-    in turn.  So the work is linear in the expansions, a chain of any depth
-    is safe and a cycle adds nothing."""
-    unmarked = {sym: set(range(len(exp))) for sym, exp in expansions.items()}
+def _ideal_symbols(expansions):
+    """gens -> the symbols in <gens>: the least set holding gens and every
+    symbol whose declared expansion has a factor of each summand monomial
+    in the set.  Per call a worklist runs: a symbol entering the set marks
+    each summand it is a factor of, and an expansion whose summands are all
+    marked enters in turn.  So the work is linear in the expansions, a
+    chain of any depth is safe and a cycle adds nothing."""
     summands_of = {}        # symbol -> the (sym, i) summands it is a factor of
     for sym, exp in expansions.items():
         for i, m in enumerate(exp):
             for f in set(m):
                 summands_of.setdefault(f, []).append((sym, i))
-    inside = set()
-    todo = list(gens) + [sym for sym, exp in expansions.items() if not exp]
-    while todo:
-        s = todo.pop()
-        if s not in inside:
-            inside.add(s)
-            for sym, i in summands_of.get(s, ()):
-                unmarked[sym].discard(i)
-                if not unmarked[sym]:
-                    todo.append(sym)
-    return inside
+    empty = [sym for sym, exp in expansions.items() if not exp]
+
+    def symbols(gens):
+        inside, unmarked, todo = set(), {}, list(gens) + empty
+        while todo:
+            s = todo.pop()
+            if s not in inside:
+                inside.add(s)
+                for sym, i in summands_of.get(s, ()):
+                    rest = unmarked.setdefault(
+                        sym, set(range(len(expansions[sym]))))
+                    rest.discard(i)
+                    if not rest:
+                        todo.append(sym)
+        return inside
+    return symbols
 
 
 def in_ideal(m, gens, expansions=None):
     """Monomial membership in the ideal generated by `gens`: some factor must
     lie in the ideal, so the unit (no factors) is in no proper ideal."""
-    return not _ideal_symbols(gens, expansions or {}).isdisjoint(m)
+    return not _ideal_symbols(expansions or {})(gens).isdisjoint(m)
 
 
 def classify(P, delta, expansions=None, partner_override=None):
@@ -99,10 +103,11 @@ def classify(P, delta, expansions=None, partner_override=None):
     expansions = expansions or {}
     override = partner_override or {}
     all_images = [m for ms in delta.values() for m in ms]
+    symbols = _ideal_symbols(expansions)
     P1 = P2 = P3 = 0
     for i, lab in enumerate(P.labels):
         g = gens_of(lab)
-        inside = _ideal_symbols(g, expansions)
+        inside = symbols(g)
         if all(not inside.isdisjoint(m) for m in all_images):
             P3 |= 1 << i
         elif all(not inside.isdisjoint(m)
@@ -263,28 +268,30 @@ def run_pipeline(spec):
     at the first step whose hypotheses cannot be met.
 
     The interval [1, wbar] is built once, for the empty word, and each
-    lettered step grows it by one letter.  nabla: [1, wbar] -> P is carried
-    as a tuple of P's positions indexed by the interval's, and made a
-    PosetMap once, for the result.  Its export order is, step by step, the
-    old copy, then the x-primes by the labels of their P3 primes."""
+    lettered step grows it by one letter.  P has its positions, so nabla is
+    the identity, made a PosetMap once, for the result.  The export order
+    is, step by step, the old copy (remapped if a search reindexed P), then
+    the x-primes by the labels of their P3 primes."""
     cox = spec.cox
-    word, iv, P, nabla = (), br.interval(cox, ()), ps.singleton("0"), (0,)
+    word, iv, P = (), br.interval(cox, ()), ps.singleton("0")
     expans, reports, order = {}, [], (0,)
     for idx, st in enumerate(spec.steps):
         expans = dict(expans)
         expans.update(st.expansions)
         try:
-            word, iv, s, nabla, rep = _step(cox, word, iv, P, nabla, expans,
-                                            st)
-            order += tuple(sorted(range(len(P), len(s.Ptilde)),
-                                  key=lambda x: P.labels[s.phi[x]]))
-            P = s.Ptilde
+            word, iv, s, rep = _step(cox, word, iv, P, expans, st)
         except (ext.ExtensionError, br.BruhatError, ps.PosetError,
                 cx.CoxeterError, SpectraError) as e:
             err = SpectraInputError if isinstance(e, SpectraInputError) \
                 else SpectraError
             raise err("pipeline %r, step %d (%s): %s"
                       % (spec.name, idx + 1, st.var, e)) from e
+        Q = s.source.P          # P, or P reindexed by a search
+        if Q is not P:
+            order = tuple(Q.index(P.labels[p]) for p in order)
+        order += tuple(sorted(range(len(Q), len(s.Ptilde)),
+                              key=lambda x: Q.labels[s.phi[x]]))
+        P = s.Ptilde
         reports.append({"step": idx + 1, "var": st.var, **rep})
     exp = spec.expect
     if "size" in exp and len(P) != exp["size"]:
@@ -295,30 +302,23 @@ def run_pipeline(spec):
         raise SpectraError("pipeline %r: rank profile %r, expected %r"
                            % (spec.name, list(P.rank_profile()),
                               list(exp["rank_profile"])))
-    nabla = ps.PosetMap(iv, P, {l: P.labels[j]
-                                for l, j in zip(iv.labels, nabla)})
+    nabla = ps.PosetMap(iv, P, dict(zip(iv.labels, P.labels)))
     return PipelineResult(spec.name, word, P, nabla, reports, order)
 
 
-def _step(cox, word, iv, P, nabla, expans, st):
-    """One Ore step: from nabla: [1,wbar] -> P, a tuple of P's positions
-    indexed by the BruhatInterval iv = [1,wbar], to (word, iv, setup,
-    nabla, report): the next word, interval, SetupData and nabla.
-
-    Every step classifies P and builds the ranked next poset by ore_step,
-    whose old copy keeps P's positions.  A step with a letter a partitions
-    [1, wbar*a] (right) or [1, a*wbar] (left), grown from iv by one letter
-    step; extend_iso extends nabla to that interval, checking hypotheses
-    (a) and (b), and the contraction square is checked.  It keeps the
-    nabla it carries if that sends W1,W2,W3 into P1,P2,P3, and only
-    otherwise searches for a block-respecting isomorphism [1,wbar] -> P.
-    A step without a letter keeps nabla, checked onto the next poset.
-    load_pipeline has checked the schedule: a left letter is outside
-    supp(wbar) and comes with delta = 0, so W3 = [1,wbar] and P3 = P.  A
-    letter that is already a descent of wbar on its side makes the word
-    non-reduced; that depends on the schedule alone, so it is bad input
-    (SpectraInputError), found here because it takes group arithmetic.
-    """
+def _step(cox, word, iv, P, expans, st):
+    """One Ore step from P, at the positions of the BruhatInterval iv =
+    [1,wbar], to (word, iv, setup, report): the next word, interval,
+    SetupData and report.  Every step classifies P and builds the next
+    poset by ore_step.  A step with a letter a partitions [1, wbar*a] (or
+    [1, a*wbar]); if W1,W2,W3 are not P1,P2,P3 it searches for a
+    block-respecting isomorphism [1,wbar] -> P and reindexes P by it
+    (setup.source.P).  extend_iso and commuting_square then check the step.
+    A step without a letter compares the next poset's order with iv's.
+    load_pipeline has checked that a left letter is outside supp(wbar),
+    with delta = 0, so W3 = [1,wbar] and P3 = P.  A letter that is already
+    a descent of wbar on its side is bad input (SpectraInputError), found
+    here because it takes group arithmetic."""
     a = st.gen
     kind = "none" if a is None else st.side
     part = None
@@ -330,19 +330,18 @@ def _step(cox, word, iv, P, nabla, expans, st):
     sp = classify(P, st.delta, expans, st.partner)
     if kind == "none" and sp.P3:
         raise SpectraError("a step without a Bruhat letter requires P3 = {}")
-    if part is not None:
+    if part and (part.W1, part.W2, part.W3) != (sp.P1, sp.P2, sp.P3):
         blocks = [(part.W1, sp.P1), (part.W2, sp.P2), (part.W3, sp.P3)]
-        if any(not Q >> nabla[i] & 1 for W, Q in blocks for i in ps._bits(W)):
-            names = lambda Q, S: sorted(Q.labels[i] for i in ps._bits(S))
-            found = ps.find_isomorphism(
-                iv, P, [(names(iv, W), names(P, Q)) for W, Q in blocks])
-            if found is None:
-                raise SpectraError(
-                    "no block-respecting isomorphism [1,wbar] -> P "
-                    "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
-                    % tuple([W.bit_count() for W, _ in blocks] +
-                            [Q.bit_count() for _, Q in blocks]))
-            nabla = tuple(P.index(found(l)) for l in iv.labels)
+        names = lambda Q, S: sorted(Q.labels[i] for i in ps._bits(S))
+        found = ps.find_isomorphism(
+            iv, P, [(names(iv, w), names(P, q)) for w, q in blocks])
+        if found is None:
+            raise SpectraError(
+                "no block-respecting isomorphism [1,wbar] -> P "
+                "(|W1,W2,W3| = %d,%d,%d vs |P1,P2,P3| = %d,%d,%d)"
+                % tuple(b.bit_count() for bs in zip(*blocks) for b in bs))
+        P = ps.reindexed(P, [P.index(found(l)) for l in iv.labels])
+        sp = classify(P, st.delta, expans, st.partner)
     gens = lambda i: gens_of(P.labels[i])
     setup = ext.ore_step(
         sp, {q: label_of(gens(q) | {st.var}) for q in ps._bits(sp.P3)},
@@ -353,14 +352,14 @@ def _step(cox, word, iv, P, nabla, expans, st):
                      "P2": sp.P2.bit_count(), "P3": sp.P3.bit_count(),
                      "new": len(setup.Ptilde)}}
     if part is None:
-        if not ps.is_isomorphism(iv, setup.Ptilde, nabla):
+        if setup.Ptilde.down != iv.down:
             raise SpectraError("none-step extension is not an isomorphism")
     else:
         word = word + (a,) if kind == "right" else (a,) + word
-        nablat = ext.extend_iso(nabla, part, setup)
-        ext.commuting_square(nabla, nablat, part, setup)
-        iv, nabla = part.interval_wbara, nablat
-    return word, iv, setup, nabla, rep
+        ext.extend_iso(part, setup)
+        ext.commuting_square(part, setup)
+        iv = part.interval_wbara
+    return word, iv, setup, rep
 
 
 # ---------------------------------------------------------------------------

@@ -277,6 +277,28 @@ def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv", [
+    ["export", "--matrix", "A2", "--word", "1,2", "--format", "json"],
+    ["pipeline", "--builtin", "qaffine2", "--format", "dot"],
+])
+def test_a_write_that_fails_after_the_check_is_usage_error(
+        tmp_path, capsys, monkeypatch, argv):
+    """The output check opens the path to append and passes; the write
+    itself, opened with mode "w", then fails."""
+    real_open = open
+
+    def failing_open(path, mode="r", *args, **kwargs):
+        if mode == "w":
+            raise OSError(28, "No space left on device")
+        return real_open(path, mode, *args, **kwargs)
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    path = tmp_path / "x.out"
+    code, _, err = run(capsys, *argv, "--output", str(path))
+    assert code == 2
+    assert err.startswith("error: cannot write %r: " % str(path))
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
     ["interval", "--matrix", "A2", "--word", "1,2"],
     ["pipeline", "--builtin", "qaffine1"],
 ])

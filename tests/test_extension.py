@@ -35,14 +35,14 @@ def sp_all_p3(P):
     return ext.SpectrumPartition(P, 0, 0, (1 << len(P)) - 1, {})
 
 
-def as_tuple(source, target, assignment):
-    """A label dict source -> target as a tuple of target positions."""
-    return tuple(target.index(assignment[l]) for l in source.labels)
+def as_dict(source, target):
+    """The identity on positions from source to target, as a label dict."""
+    assert len(source) == len(target)
+    return dict(zip(source.labels, target.labels))
 
 
-def as_dict(f, source, target):
-    """A tuple of target positions, indexed by source's, as a label dict."""
-    return {source.labels[i]: target.labels[j] for i, j in enumerate(f)}
+def is_identity_iso(source, target):
+    return ps.is_isomorphism(source, target, range(len(source)))
 
 
 def minimal_setup():
@@ -222,12 +222,11 @@ def test_ore_step_partner_missing():
 def test_extend_iso_trivial():
     part = br.partition(A2, br.interval(A2, ()), 1)
     setup = ore(sp_all_p3(ps.build(["0"], [])), lambda q: "x1")
-    nabla = (0,)
-    nablat = ext.extend_iso(nabla, part, setup)
+    ext.extend_iso(part, setup)
     iva = part.interval_wbara
-    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
-    assert as_dict(nablat, iva, setup.Ptilde) == {"e": "0", "1": "x1"}
-    ext.commuting_square(nabla, nablat, part, setup)
+    assert is_identity_iso(iva, setup.Ptilde)
+    assert as_dict(iva, setup.Ptilde) == {"e": "0", "1": "x1"}
+    ext.commuting_square(part, setup)
 
 
 def test_extend_iso_hypothesis_a_failure():
@@ -239,9 +238,9 @@ def test_extend_iso_hypothesis_a_failure():
     # nabla maps W3 onto P, but PhiTilde(x1+x) = 0, so PhiTilde(Px) = {0}
     # != nabla(W3)
     bad_setup = _with(setup, phi={"x1+x": "0"})
-    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
+    assert as_dict(part.interval_wbar, P) == {"e": "0", "1": "x1"}
     with pytest.raises(ext.ExtensionError, match="hypothesis \\(a\\)"):
-        ext.extend_iso(nabla, part, bad_setup)
+        ext.extend_iso(part, bad_setup)
 
 
 def test_extend_iso_left_step():
@@ -249,16 +248,16 @@ def test_extend_iso_left_step():
     part = br.partition(A2, br.interval(A2, (1,)), 2, side="left")
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
-    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
-    nablat = ext.extend_iso(nabla, part, setup)
+    assert as_dict(part.interval_wbar, P) == {"e": "0", "1": "x1"}
+    ext.extend_iso(part, setup)
     iva = part.interval_wbara
-    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
-    named = as_dict(nablat, iva, setup.Ptilde)
+    assert is_identity_iso(iva, setup.Ptilde)
+    named = as_dict(iva, setup.Ptilde)
     assert named["2"] == "0,x2" and named["2.1"] == "x1,x2"
-    ext.commuting_square(nabla, nablat, part, setup)
+    ext.commuting_square(part, setup)
     bad = _with(setup, phi={"x1,x2": "0"})  # PhiTilde(Px) = {0} != nabla(W3)
     with pytest.raises(ext.ExtensionError, match="hypothesis \\(a\\)"):
-        ext.extend_iso(nabla, part, bad)
+        ext.extend_iso(part, bad)
 
 
 def test_ore_step_ranks_new_primes():
@@ -288,12 +287,12 @@ def test_extend_iso_delta0_step():
     part = br.partition(A2, br.interval(A2, (1,)), 2)
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
-    nabla = as_tuple(part.interval_wbar, P, {"e": "0", "1": "x1"})
-    nablat = ext.extend_iso(nabla, part, setup)
+    assert as_dict(part.interval_wbar, P) == {"e": "0", "1": "x1"}
+    ext.extend_iso(part, setup)
     iva = part.interval_wbara
-    assert ps.is_isomorphism(iva, setup.Ptilde, nablat)
-    assert as_dict(nablat, iva, setup.Ptilde)["2"] == "0,x2"
-    ext.commuting_square(nabla, nablat, part, setup)
+    assert is_identity_iso(iva, setup.Ptilde)
+    assert as_dict(iva, setup.Ptilde)["2"] == "0,x2"
+    ext.commuting_square(part, setup)
 
 
 def test_extend_iso_restriction_formula():
@@ -301,11 +300,12 @@ def test_extend_iso_restriction_formula():
     P = chain2()
     setup = ore(sp_all_p3(P), lambda q: q + ",x2")
     iv, iva = part.interval_wbar, part.interval_wbara
-    nabla = as_tuple(iv, P, {"e": "0", "1": "x1"})
-    nablat = ext.extend_iso(nabla, part, setup)
-    # the old copy keeps P's positions, so nablat restricts to nabla
+    ext.extend_iso(part, setup)
+    # [1,wbar*a] keeps [1,wbar]'s positions and the old copy P's, so the
+    # identity nablat restricts to the identity nabla
     for w in iv.elements:
-        assert nablat[iva.position[w]] == nabla[iv.position[w]]
+        assert iva.position[w] == iv.position[w]
+    assert setup.Ptilde.labels[:len(P)] == P.labels
 
 
 def test_commuting_square_weyl_fiber_over_partner():
@@ -360,19 +360,19 @@ def test_each_broken_spectrum_partition_gives_its_message(sp, message):
 
 @pytest.fixture
 def qmatrix2_last_step(monkeypatch):
-    """(nabla, part, setup) as run_pipeline hands them to extend_iso at the
-    last step of qmatrix2: W1 = {2}, W2 = {e}, and nabla sends 2 to x1,
-    whose copy in Ptilde is Dq, and e to 0."""
+    """(part, setup) as run_pipeline hands them to extend_iso at the last
+    step of qmatrix2: W1 = {2}, W2 = {e}, and nabla, the identity on
+    positions, sends 2 to x1, whose copy in Ptilde is Dq, and e to 0."""
     seen, extend_iso = [], ext.extend_iso
     monkeypatch.setattr(ext, "extend_iso",
                         lambda *args: seen.append(args) or extend_iso(*args))
     spectra.run_pipeline(spectra.builtin("qmatrix2"))
-    nabla, part, setup = seen[-1]
+    part, setup = seen[-1]
     P, T = setup.source.P, setup.Ptilde
-    named = as_dict(nabla, part.interval_wbar, P)
+    named = as_dict(part.interval_wbar, P)
     assert named["2"] == "x1" and T.labels[P.index("x1")] == "Dq"
     assert named["e"] == "0" and T.labels[setup.phi[T.index("Dq")]] == "0"
-    return nabla, part, setup
+    return part, setup
 
 
 def _with(setup, phi=(), **changes):
@@ -388,22 +388,26 @@ def _with(setup, phi=(), **changes):
 
 def test_extend_iso_rejects_a_nabla_that_is_no_isomorphism(
         qmatrix2_last_step):
-    nabla, part, setup = qmatrix2_last_step
-    flat = (setup.source.P.index("0"),) * len(nabla)
+    """A source P whose order is not [1,wbar]'s: the identity nabla is no
+    isomorphism."""
+    part, setup = qmatrix2_last_step
+    src = setup.source
+    flat = ps.LabeledPoset(src.P.labels, [1 << i for i in range(len(src.P))])
+    bad = ext.SpectrumPartition(flat, src.P1, src.P2, src.P3, src.partner)
     with pytest.raises(ext.ExtensionError,
                        match="^nabla is not an isomorphism$"):
-        ext.extend_iso(flat, part, setup)
+        ext.extend_iso(part, _with(setup, source=bad))
 
 
 def test_extend_iso_hypothesis_b_failure(qmatrix2_last_step):
     """PhiTilde(Dq) = Dq leaves PhiTilde(Px) alone, so (a) holds, but
     PhiTilde(nabla(2)) is no longer nabla(Phi(2)) = nabla(e) = 0."""
-    nabla, part, setup = qmatrix2_last_step
+    part, setup = qmatrix2_last_step
     bad = _with(setup, phi={"Dq": "Dq"})
     with pytest.raises(ext.ExtensionError, match=re.escape(
             "hypothesis (b) fails at 2: PhiTilde(nabla(w))=Dq, "
             "nabla(Phi(w))=0")):
-        ext.extend_iso(nabla, part, bad)
+        ext.extend_iso(part, bad)
 
 
 def test_extend_iso_rejects_an_extension_that_is_no_isomorphism(
@@ -411,39 +415,41 @@ def test_extend_iso_rejects_an_extension_that_is_no_isomorphism(
     """Hypotheses (a) and (b) read only labels and PhiTilde; a Ptilde with
     the right labels and no order passes them, and the extension is then
     checked as a map."""
-    nabla, part, setup = qmatrix2_last_step
+    part, setup = qmatrix2_last_step
     T = setup.Ptilde
     bad = _with(setup, Ptilde=ps.LabeledPoset(
         T.labels, [1 << i for i in range(len(T))]))
     with pytest.raises(ext.ExtensionError,
                        match="^extended map is not an isomorphism$"):
-        ext.extend_iso(nabla, part, bad)
+        ext.extend_iso(part, bad)
 
 
 def test_commuting_square_reports_each_failure(qmatrix2_last_step):
-    nabla, part, setup = qmatrix2_last_step
-    nablat = ext.extend_iso(nabla, part, setup)
-    ext.commuting_square(nabla, nablat, part, setup)
+    part, setup = qmatrix2_last_step
+    ext.extend_iso(part, setup)
+    ext.commuting_square(part, setup)
 
     def fails(*clauses):
         return pytest.raises(ext.ExtensionError, match="^%s$" % re.escape(
             "commuting square fails: " + ", ".join(clauses)))
 
-    # nablat with the images of 1 and 3 (both in W3) swapped
-    i, j = map(part.interval_wbara.index, ("1", "3"))
-    bad = list(nablat)
-    bad[i], bad[j] = nablat[j], nablat[i]
+    # PhiTilde with the images of the x-primes over 1 and 3 (both in W3)
+    # swapped: each fiber keeps two elements, one of them its base
+    T, n = setup.Ptilde, len(setup.source.P)
+    i, j = map(part.interval_wbar.index, ("1", "3"))
+    xi, xj = (T.labels[n + setup.phi[n:].index(k)] for k in (i, j))
+    swapped = _with(setup, phi={xi: T.labels[j], xj: T.labels[i]})
     with fails("square_commutes"):
-        ext.commuting_square(nabla, bad, part, setup)
+        ext.commuting_square(part, swapped)
     # PhiTilde(x2) = 0 puts 0, Dq and x2 in one fiber, and leaves the
     # x-prime over x2 without x2 in its fiber
     three = _with(setup, phi={"x2": "0"})
     with fails("square_commutes", "at_most_2_1", "new_fibers_over_P3"):
-        ext.commuting_square(nabla, nablat, part, three)
+        ext.commuting_square(part, three)
     # a source partition whose P3 misses x2 no longer matches the fibers
     # that hold an x-prime
     src = setup.source
     short = ext.SpectrumPartition(src.P, src.P1, src.P2,
                                   src.P3 & ~mask(src.P, ["x2"]), src.partner)
     with fails("new_fibers_over_P3"):
-        ext.commuting_square(nabla, nablat, part, _with(setup, source=short))
+        ext.commuting_square(part, _with(setup, source=short))

@@ -392,8 +392,8 @@ def test_final_interval_words_are_the_greedy_words(name):
 
 
 def test_builtins_keep_the_nabla_they_carry(monkeypatch):
-    """At every step of every builtin the carried nabla sends W1, W2, W3
-    into P1, P2, P3, so no step searches for another."""
+    """At every step of every builtin W1, W2, W3 are P1, P2, P3 on the
+    shared positions, so nabla is the identity and no step searches."""
     def search(*args):
         raise AssertionError("a step searched for nabla")
     monkeypatch.setattr(sp.ps, "find_isomorphism", search)
@@ -405,25 +405,73 @@ RESCUE = {"coxeter": "affineA2", "steps": [
     {"var": "x1", "gen": 1},
     {"var": "x2", "gen": 3, "side": "left"},
     {"var": "x3", "gen": 3, "side": "right", "delta": {"x1": [["x2"]]}}]}
+RESCUE_THEN_STEP = {**RESCUE,
+                    "steps": RESCUE["steps"] + [{"var": "x4", "gen": 2}]}
 
 
-def test_search_rescues_a_step_whose_carried_nabla_breaks_a_block(
-        monkeypatch, capsys, tmp_path):
-    """At step 3 the carried nabla breaks a block; the search finds one
-    that does not, and the run goes through."""
+def run_counting_searches(schedule, monkeypatch, capsys, tmp_path):
+    """`pipeline --file` on schedule; returns its last output line and the
+    var of each step that searched for an isomorphism."""
     steps, searched = [], []
     step, search = sp._step, ps.find_isomorphism
     monkeypatch.setattr(sp, "_step",
                         lambda *a: steps.append(a[-1].var) or step(*a))
     monkeypatch.setattr(sp.ps, "find_isomorphism",
                         lambda *a: searched.append(steps[-1]) or search(*a))
-    path = tmp_path / "rescue.json"
-    path.write_text(json.dumps(RESCUE))
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule))
     assert cli.main(["pipeline", "--file", str(path)]) == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[-1] == \
-        "final: 6 elements, ranks 1,2,2,1, word 3.1.3"
+    return capsys.readouterr().out.splitlines()[-1], searched
+
+
+def test_search_rescues_a_step_whose_carried_nabla_breaks_a_block(
+        monkeypatch, capsys, tmp_path):
+    """At step 3 the identity on positions breaks a block; the search finds
+    an isomorphism that does not, and the run goes through."""
+    last, searched = run_counting_searches(RESCUE, monkeypatch, capsys,
+                                           tmp_path)
+    assert last == "final: 6 elements, ranks 1,2,2,1, word 3.1.3"
     assert searched == ["x3"]
+
+
+def test_a_step_after_a_search_runs_on_the_reindexed_poset(
+        monkeypatch, capsys, tmp_path):
+    """RESCUE, then a right step by 2.  The search at x3 reindexes P, so
+    its positions are the interval's again and step 4 does not search.
+    The final rank profile is [e, 3.1.3.2]'s in an independent model."""
+    last, searched = run_counting_searches(RESCUE_THEN_STEP, monkeypatch,
+                                           capsys, tmp_path)
+    assert last == "final: 12 elements, ranks 1,3,4,3,1, word 3.1.3.2"
+    assert searched == ["x3"]
+    prof = oracle.interval_profile((3, 1, 3, 2), affine_n(3),
+                                   oracle.affine_length)
+    assert " ranks %s, " % ",".join(map(str, prof)) in last
+
+
+@pytest.mark.parametrize("schedule", [RESCUE, RESCUE_THEN_STEP],
+                         ids=["rescue", "rescue-then-step"])
+def test_an_export_after_a_search_lists_the_primes_step_by_step(
+        schedule, capsys, tmp_path):
+    """`pipeline --format json` ids follow the steps: the primes a step
+    adds come after the older ones, by the labels of the primes below
+    them.  The search at x3 reindexes P, and the order goes with it.  No
+    step rewrites a label, so a prime is born at the last step whose var
+    it holds, over the prime named by its other vars."""
+    path = tmp_path / "schedule.json"
+    path.write_text(json.dumps(schedule))
+    assert cli.main(["pipeline", "--file", str(path), "--format", "json"]) \
+        == 0
+    out = capsys.readouterr().out
+    elements = json.loads(out[out.index("{"):])["elements"]
+    labels = [e["label"] for e in sorted(elements, key=lambda e: e["id"])]
+    step_of = {st["var"]: k for k, st in enumerate(schedule["steps"], 1)}
+
+    def born(label):
+        gens = sp.gens_of(label)
+        k = max(map(step_of.get, gens), default=0)
+        return k, sp.label_of({g for g in gens if step_of[g] != k})
+    assert len(set(map(born, labels))) == len(labels)
+    assert labels == sorted(labels, key=born)
 
 
 def run_recording_setups(spec, monkeypatch):
