@@ -162,10 +162,9 @@ def criterion_11():
         elems = lambda S: {iva.elements[i] for i in ps._bits(S)}
         assert {x.times_gen(a) for x in elems(part.W1)} == elems(part.W2)
         assert {x.times_gen(a) for x in elems(part.W4)} == elems(part.W3)
-        labels = lambda S: [iva.labels[i] for i in ps._bits(S)]
-        assert ps.is_upper_set(part.interval_wbar, labels(part.W3))
-        assert ps.is_upper_set(iva, labels(part.W4))
-        assert ps.is_upper_set(iva, labels(part.W3 | part.W4))
+        assert ps.is_upper_set(part.interval_wbar, part.W3)
+        assert ps.is_upper_set(iva, part.W4)
+        assert ps.is_upper_set(iva, part.W3 | part.W4)
         w23 = {x for x in iva.elements if not cx.right_descent(x, a)}
         assert w23 == elems(part.W2 | part.W3)
         count += 1

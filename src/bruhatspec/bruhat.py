@@ -35,17 +35,15 @@ class BruhatInterval(ps.LabeledPoset):
 
     Built from the elements and down-sets the letter steps made, in the
     order they were appended, a linear extension (bit j of down[i] set iff
-    elements[j] <= elements[i]).  Each gets its canonical word from the
-    element below it, as its letter step recorded it (cx.derive_words);
-    LabeledPoset gets the dotted canonical words as labels, the down-sets,
-    and the lengths as ranks, and checks the order.  `elements[i]` is the
-    element labelled `labels[i]`, and `position` maps each element to its i.
+    elements[j] <= elements[i]).  LabeledPoset gets the dotted canonical
+    words, which the letter steps set, as labels, the down-sets, and the
+    lengths as ranks, and checks the order.  `elements[i]` is the element
+    labelled `labels[i]`, and `position` maps each element to its i.
     """
 
     __slots__ = ("cox", "base", "elements", "position")
 
     def __init__(self, cox, base, elements, down, position):
-        cx.derive_words(elements)
         self.cox, self.base, self.position = cox, base, position
         self.elements = tuple(elements)
         super().__init__(map(word_label, self.elements),
@@ -89,9 +87,10 @@ def _letter_step(base, elems, position, down, s, side):
     the base this gives the new elements us; with each u whose us is new it
     gives that element's down-set, down(u) | down(u)s.  Inversion is a
     Bruhat automorphism, so on the left [1, su] = [1, u] | s[1, u] and
-    down(su) = down(u) | s down(u).  Each new element gets the element
-    below it, which its canonical word is read off, from u and the table
-    (cx.record_below), with no further product.  Works in infinite groups.
+    down(su) = down(u) | s down(u).  Each new element gets its canonical
+    word as it is made, read off the element below it, which u and the
+    table give with no further product in most cases (cx.record_below).
+    Works in infinite groups.
     """
     descent = _DESCENT[side]
     if descent(base, s):
@@ -107,6 +106,7 @@ def _letter_step(base, elems, position, down, s, side):
             elems.append(us)
         else:
             times[j] = i
+    find = lambda x: elems[position[x]]
     image = lambda x: elems[times[position[x]]]
     for i in range(n):
         if times[i] >= n:       # a new element, over elems[i]
@@ -115,7 +115,8 @@ def _letter_step(base, elems, position, down, s, side):
                 ds |= 1 << times[k]
             down.append(ds)
             times.append(i)
-            cx.record_below(elems[times[i]], elems[i], s, side, image)
+            cx.record_below(elems[times[i]], elems[i], s, side, image,
+                            find)
     return base.times_gen(s, side), times
 
 
@@ -179,7 +180,7 @@ def _check_partition(part):
         raise BruhatError("W1|..|W4 != [1,wbar*a]")
     for name, S, ivs in (("W3", part.W3, iv), ("W4", part.W4, iva),
                          ("W3|W4", part.W3 | part.W4, iva)):
-        if any(ivs.up[i] & ~S for i in ps._bits(S)):
+        if not ps.is_upper_set(ivs, S):
             raise BruhatError("%s not upper in %s" % (
                 name, "[1,wbar]" if ivs is iv else "[1,wbar*a]"))
     w14 = part.W1 | part.W4

@@ -2,9 +2,9 @@
 
 Elements are stored as integer matrices acting on the root lattice, together
 with their length; the canonical (lexicographically least) reduced word is
-derived inside an interval from the element below, which the letter step
-that made the element records, and otherwise computed when first read.  All
-arithmetic is exact, so finite and affine groups are handled uniformly.
+set inside an interval by the letter step that makes the element, from the
+element below it, and otherwise computed when first read.  All arithmetic
+is exact, so finite and affine groups are handled uniformly.
 """
 
 INF = 0  # Coxeter matrix entry m_ij = infinity (also the JSON encoding)
@@ -181,14 +181,13 @@ class GroupElement:
     that matrix's inverse.  Hashable; == and hash read (cox, matrix).
 
     `word`, the lexicographically least reduced word, is set by
-    `derive_words` for an interval's elements, and otherwise computed on
-    first read and kept on the element.  `length` is carried:
+    `record_below` for an element a letter step makes, and otherwise
+    computed on first read and kept on the element.  `length` is carried:
     `identity_element` starts at 0 and `times_gen` moves it by one, down
     when s_i is a descent on its side, so reading it forces no word.  An
     element made by calling GroupElement itself carries no length, and
     reads it off its word.  `_below` is (i, s_i*w) for w's least left
-    descent i, recorded by the letter step that made w or by
-    `derive_words`; None until then."""
+    descent i, recorded with the word; None until then."""
 
     __slots__ = ("cox", "matrix", "matrix_inv", "_length", "_word", "_below")
 
@@ -292,73 +291,47 @@ def _least_left_descent(w):
     return None
 
 
-def record_below(w, u, s, side, times):
-    """Record on w = u*s_s (side "right") or s_s*u (side "left"), a new
-    element of a letter step from u, the element below it, with no group
-    product; times(x) is x*s_s (or s_s*x) for each x of the step's old
-    interval, which holds every element below u.
+def record_below(w, u, s, side, times, find):
+    """Give w = u*s_s (side "right") or s_s*u (side "left"), a new element
+    of a letter step from u, its canonical word, read off the element below
+    it, and record that element; times(x) is x*s_s (or s_s*x) for each x of
+    the step's old interval, which holds every element below u, and find(x)
+    is the step's own element equal to x.
 
-    Let i be w's least left descent and i' the one recorded on u.  On the
-    right D_L(u) is in D_L(us), so i <= i'.  If u is the identity or
+    The greedy extraction takes w's least left descent i first, so
+    word(w) = (i,) + word(s_i w).  Let i' be the descent recorded on u.  On
+    the right D_L(u) is in D_L(us), so i <= i'.  If u is the identity or
     i < i', s_i is a left descent of us but not of u, so s_i us = u by the
     exchange property; if i = i', s_i us = (s_i u)s = times(below(u)); and
     i > i' raises CoxeterError.  On the left, s_i su = u when i = s, and
     s_i su = s(s_i u) = times(below(u)) when i = i' and s_i commutes with
-    s.  Otherwise, or when u carries no record, w gets none and
-    derive_words forms s_i w by a left product.
+    s.  Otherwise, or when u carries no record, s_i w is formed by one left
+    product and found.  Either way s_i w must carry length l(w) - 1, or
+    CoxeterError is raised.  The step visits its old elements in a linear
+    extension, so s_i w, old or made from an element below u, has its word.
     """
-    i = _least_left_descent(w)
+    i, below = _least_left_descent(w), None
     if u._length == 0 or (side == "left" and i == s):
-        w._below = (i, u)
+        below = u
     elif u._below is not None:
-        j, below = u._below
+        j, ub = u._below
         if side == "left":
             if i == j and w.cox.entries[i - 1][s - 1] == 2:
-                w._below = (i, times(below))
+                below = times(ub)
         elif i < j:
-            w._below = (i, u)
+            below = u
         elif i == j:
-            w._below = (i, times(below))
+            below = times(ub)
         else:
             raise CoxeterError("u is recorded with least left descent s_%d,"
                                " but u*s_%d has s_%d" % (j, s, i))
-
-
-def derive_words(elements):
-    """Give each element of a lower interval that has no word yet its
-    canonical word, read off the element below it.
-
-    The greedy extraction takes w's least left descent i first, so
-    word(w) = (i,) + word(s_i w), and s_i w lies in the same lower interval.
-    Elements are visited by increasing carried length, so s_i w's word is
-    known when w is reached.  s_i w is the element the letter step recorded
-    in `_below`; an element without one forms s_i w by a left product,
-    finds it in the list and records it.  Either way s_i w must carry
-    length l(w) - 1, or CoxeterError is raised.  The identity, an element
-    with no left descent and one whose s_i w is not in the list (which is
-    then no lower set) keep their greedy word, computed and checked on
-    first read.
-    """
-    found = None
-    for w in sorted(elements, key=lambda w: w.length):
-        if w._word is not None or w._length == 0:
-            continue
-        if w._below is None:
-            i = _least_left_descent(w)
-            if i is None:
-                continue
-            if found is None:
-                found = {x: x for x in elements}
-            below = found.get(w.times_gen(i, "left"))
-            if below is None:
-                continue
-            w._below = (i, below)
-        i, below = w._below
-        if below.length != w._length - 1:
-            raise CoxeterError("s_%d w is found with carried length %d, "
-                               "but w carries %d" % (i, below.length,
-                                                     w._length))
-        w._word = (i,) + below.word
+    if below is None:
+        below = find(w.times_gen(i, "left"))
+    if below.length != w._length - 1:
+        raise CoxeterError("s_%d w is found with carried length %d, "
+                           "but w carries %d" % (i, below.length, w._length))
+    w._below = (i, below)
+    w._word = (i,) + below.word
 
 
 def identity_element(cox):

@@ -64,7 +64,7 @@ def validate_setup(s):
     T, phi, n = s.Ptilde, s.phi, len(s.source.P)
     lab = T.labels
     px_mask = (1 << len(T)) - (1 << n)
-    if any(T.up[i] & ~px_mask for i in ps._bits(px_mask)):
+    if not ps.is_upper_set(T, px_mask):
         raise ExtensionError("Px is not an upper set of Ptilde")
     if len(phi) != len(T):
         raise ExtensionError("PhiTilde is not total on Ptilde")

@@ -211,10 +211,10 @@ def induced(P, labels):
     return LabeledPoset([P.labels[i] for i in keep], down=down)
 
 
-def is_upper_set(P, labels):
-    """True iff the labeled subset is closed under going up."""
-    mask = sum(1 << i for i in {P.index(l) for l in labels})
-    return not any(P.up[i] & ~mask for i in _bits(mask))
+def is_upper_set(P, S):
+    """True iff S, a set of P's positions as an int bitset, is closed under
+    going up."""
+    return not any(P.up[i] & ~S for i in _bits(S))
 
 
 class PosetMap:

@@ -318,7 +318,9 @@ def _step(cox, word, iv, P, expans, st):
     load_pipeline has checked that a left letter is outside supp(wbar),
     with delta = 0, so W3 = [1,wbar] and P3 = P.  A letter that is already
     a descent of wbar on its side is bad input (SpectraInputError), found
-    here because it takes group arithmetic."""
+    here because it takes group arithmetic; so is a rewrite or var that
+    gives two primes of the next poset one label, found here because the
+    split decides which primes are renamed."""
     a = st.gen
     kind = "none" if a is None else st.side
     part = None
@@ -343,10 +345,17 @@ def _step(cox, word, iv, P, expans, st):
         P = ps.reindexed(P, [P.index(found(l)) for l in iv.labels])
         sp = classify(P, st.delta, expans, st.partner)
     gens = lambda i: gens_of(P.labels[i])
-    setup = ext.ore_step(
-        sp, {q: label_of(gens(q) | {st.var}) for q in ps._bits(sp.P3)},
-        {p: label_of({st.rewrite.get(s, s) for s in gens(p)})
-         for p in ps._bits(sp.P1)}, part.interval_wbara if part else iv)
+    new_label = {q: label_of(gens(q) | {st.var}) for q in ps._bits(sp.P3)}
+    relabel = {p: label_of({st.rewrite.get(s, s) for s in gens(p)})
+               for p in ps._bits(sp.P1)}
+    labels = [relabel.get(i, l) for i, l in enumerate(P.labels)]
+    labels += new_label.values()
+    if len(set(labels)) < len(labels):
+        dup = next(l for k, l in enumerate(labels) if l in labels[:k])
+        raise SpectraInputError("the rewrite or var gives two primes the "
+                                "label %r" % (dup,))
+    setup = ext.ore_step(sp, new_label, relabel,
+                         part.interval_wbara if part else iv)
     rep = {"kind": kind, "gen": a,
            "sizes": {"P": len(P), "P1": sp.P1.bit_count(),
                      "P2": sp.P2.bit_count(), "P3": sp.P3.bit_count(),

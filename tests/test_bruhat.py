@@ -513,23 +513,26 @@ def test_derived_words_are_the_greedy_words(monkeypatch, m, word, size):
 
 @pytest.mark.parametrize("off", [-1, 1])
 def test_derived_word_checks_the_carried_length_below(off):
-    """A word is read off the element below only if that element carries
-    one letter less: one off either way raises."""
-    iv = br.interval(A3, (1, 3, 2))
-    below = iv.elements[-1]          # 1.3.2 = s_2 * 2.1.3.2
+    """A letter step reads a word off the element below only if that
+    element carries one letter less: one off either way raises.  The right
+    step by 2 from [1, 1.2.3.2.1] makes 2.1.3.2 from 2.1.3 and reads it
+    off 1.3.2 = (s_2 * 2.1.3) * s_2, an old element."""
+    iv = br.interval(A3, (1, 2, 3, 2, 1))
+    below = iv.elements[iv.position[el(A3, (1, 3, 2))]]
     below._length += off
-    top = el(A3, (2, 1, 3, 2))
     with pytest.raises(cx.CoxeterError, match="s_2 w is found with carried "
                        "length %d, but w carries 4" % (3 + off)):
-        cx.derive_words(list(iv.elements) + [top])
+        br.partition(A3, iv, 2)
 
 
 def _is_greedy(w):
     return w.word == cx._canonical_word(w.cox, w.matrix, w.matrix_inv, None)
 
 
-@pytest.mark.parametrize("m, bound", [(A3, 5), (D4, 4)], ids=["A3", "D4"])
-def test_letter_step_words_are_the_greedy_words(m, bound):
+@pytest.mark.parametrize("m, bound, parts", [
+    (A3, 5, 72), (D4, 4, 264), (B3, 6, 126), (G2, 5, 24), (INF3, 4, 138),
+], ids=["A3", "D4", "B3", "G2", "inf3"])
+def test_letter_step_words_are_the_greedy_words(m, bound, parts):
     """The word each letter step's element reads off the element it records
     below equals the greedy word, for every partition on either side."""
     count = 0
@@ -544,7 +547,7 @@ def test_letter_step_words_are_the_greedy_words(m, bound):
                     assert all(map(_is_greedy, block(part, part.W4))), \
                         (w, a, side)
                     count += 1
-    assert count >= 60
+    assert count == parts
 
 
 def test_letter_step_checks_the_descent_recorded_below():

@@ -177,6 +177,29 @@ def test_pipeline_partner_override_value(tmp_path, capsys, partner, message):
         assert err == "error: pipeline 'qmatrix2', step 4 (x4): %s\n" % message
 
 
+@pytest.mark.parametrize("coxeter, rewrite, more, where, label", [
+    ("A3", {"x1": "x2"}, [], "step 4 (x4)", "x2"),
+    ("A4", {"x1": "Dq"}, [{"var": "Dq", "gen": 4}], "step 5 (Dq)", "Dq"),
+], ids=["rewrite", "var"])
+def test_pipeline_label_collision_is_usage_error(tmp_path, capsys, coxeter,
+                                                 rewrite, more, where, label):
+    """qmatrix2 whose last step rewrites x1 to x2 renames the prime {x1}
+    onto the prime x2; a fifth step with var Dq, a symbol the rewrite
+    before it uses, gives the x-prime over Dq the label Dq.  Either names
+    two primes alike: bad input, named, not a failed check."""
+    spec = json.loads(resources.files("bruhatspec").joinpath(
+        "data", "qmatrix2.json").read_text())
+    spec["coxeter"] = coxeter
+    spec["steps"][3]["rewrite"] = rewrite
+    spec["steps"] += more
+    path = tmp_path / "collide.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "pipeline", "--file", str(path))
+    assert code == 2 and out == ""
+    assert err == ("error: pipeline 'qmatrix2', %s: the rewrite or var "
+                   "gives two primes the label %r\n" % (where, label))
+
+
 @pytest.mark.parametrize("vars_, message", [
     (["x", "x"], "step 2 (x): var repeats an earlier step's"),
     (["a", "b", "a"], "step 3 (a): var repeats an earlier step's"),
